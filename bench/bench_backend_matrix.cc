@@ -3,11 +3,11 @@
 // verdict.
 //
 // This is the perf contract of the VerifyBackend API (src/verify/): the
-// factory's five execution strategies are interchangeable in outcome, so the
+// factory's four execution strategies are interchangeable in outcome, so the
 // only thing this bench is allowed to show differing is wall clock. Expected
 // shape on real hardware: batched beats per-proof by the PR-1 RLC/MSM
-// factor, sharded adds thread-level fan-out, multiprocess pays wire +
-// process overhead it can only win back with physical cores.
+// factor, sharded adds thread-level fan-out, remote pays wire + process +
+// HMAC overhead it can only win back with physical cores.
 //
 // The matrix also sweeps group backends: the primary group (modp-256, the
 // committed-baseline rows) runs the full pool sweep, and every group named
@@ -55,15 +55,11 @@ vdp::ProtocolConfig ConfigFor(vdp::VerifyBackendKind kind) {
     case vdp::VerifyBackendKind::kSharded:
       config.num_verify_shards = 8;
       break;
-    case vdp::VerifyBackendKind::kMultiprocess:
-      config.num_verify_shards = 8;
-      config.verify_workers = 4;
-      break;
     case vdp::VerifyBackendKind::kRemote:
       // A real loopback verify_server fleet (shared; spawned on first use):
-      // the multiprocess row plus socket transport + per-frame HMAC. The
-      // workers pick the group up from the wire setup frame, so one fleet
-      // serves every group in the sweep.
+      // the sharded row plus wire, process boundary, socket transport and
+      // per-frame HMAC. The servers pick the group up from the wire setup
+      // frame, so one fleet serves every group in the sweep.
       config.num_verify_shards = 8;
       vdp::net::SharedLoopbackFleet(4).ApplyTo(&config);
       break;
@@ -202,11 +198,11 @@ int main() {
     pool_sizes.push_back(hw);
   }
 
-  // The worker/server subprocesses the multiprocess and remote backends
-  // spawn write into the same file through $VDP_METRICS_OUT, so EVERY writer
-  // -- this process included -- must hold an O_APPEND descriptor (append
-  // mode); a plain "w" stream would interleave its private offset with the
-  // subprocess appends and corrupt lines.
+  // The server subprocesses the remote backend talks to write into the
+  // same file through $VDP_METRICS_OUT, so EVERY writer -- this process
+  // included -- must hold an O_APPEND descriptor (append mode); a plain "w"
+  // stream would interleave its private offset with the subprocess appends
+  // and corrupt lines.
   const char* out_env = std::getenv("VDP_METRICS_OUT");
   const std::string log_path = out_env != nullptr && out_env[0] != '\0'
                                    ? out_env
@@ -223,7 +219,6 @@ int main() {
     header.n_uploads = kUploads;
     header.num_shards = 8;
     header.pool_threads = hw;
-    header.verify_workers = 4;
     header.remote_endpoints = 4;
     header.notes =
         "pool sweep: 1/2/all cores; unsuffixed rows = all cores; sweep groups "

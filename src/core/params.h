@@ -53,7 +53,7 @@ struct ProtocolConfig {
   bool batch_verify = false;
 
   // Partition client uploads into this many contiguous shards for validation
-  // (src/shard/sharded_verifier.h). Each shard batch-verifies independently
+  // (src/verify/sharded_backend.h). Each shard batch-verifies independently
   // (fanned across the ThreadPool) and a deterministic combiner merges the
   // per-shard results; the accepted set is bit-identical to the monolithic
   // path. On a batch failure only the offending shard pays the per-proof
@@ -64,31 +64,31 @@ struct ProtocolConfig {
   // leave num_verify_shards at 1 with batch_verify false.
   size_t num_verify_shards = 1;
 
-  // Farm shard verification out to this many verify_worker subprocesses
-  // (src/shard/process_pool.h): shards are serialized over the versioned
-  // wire format (src/wire/), verified out of process, and the decoded
-  // results feed the same deterministic combiner, bit-identically to the
-  // in-process path. Worker failures are blamed, retried, and -- as a last
-  // resort -- recovered in process, so the verdict never depends on fleet
-  // health. 0 or 1 (the default) keeps verification in process. The shard
+  // Farm shard verification out to this many local verify_server
+  // subprocesses: with remote_verifiers empty, > 1 selects the remote
+  // backend on a private loopback fleet of this many servers
+  // (src/verify/remote_backend.h), spawned with the backend and torn down
+  // with it. Everything below about remote_verifiers -- wire format, MACs,
+  // blame, in-process recovery -- applies unchanged. 0 (the default) keeps
+  // verification in process; 1 is rejected as ambiguous. The shard
   // partition honors num_verify_shards when > 1, else defaults to two
-  // shards per worker.
+  // shards per server.
   size_t verify_workers = 0;
 
   // Farm shard verification out to remote verify_server daemons over
   // authenticated sockets (src/net/): endpoints in the textual form
   // "tcp:host:port" or "unix:/path". Non-empty selects the remote backend
   // (it wins over every other execution flag -- a provisioned fleet is the
-  // most explicit statement of intent). Shards are serialized over the same
-  // versioned wire format as the subprocess pool, MAC-authenticated per
-  // frame, and the decoded results feed the same deterministic combiner,
+  // most explicit statement of intent). Shards are serialized over the
+  // versioned wire format (src/wire/), MAC-authenticated per frame, and the
+  // decoded results feed the same deterministic combiner,
   // bit-identically to the in-process path. Lost or misbehaving verifiers
   // are blamed, reconnected, and -- as a last resort -- their shards are
   // recovered in process, so the verdict never depends on fleet health.
   std::vector<std::string> remote_verifiers;
 
   // Streaming ingest knobs (src/shard/stream_dispatch.h), honored by every
-  // backend that streams (per-proof, sharded, multiprocess, remote).
+  // backend that streams (per-proof, sharded, remote).
   // stream_shard_capacity is the number of uploads per sealed shard; 0 picks
   // the dispatcher default (1024, sized for MSM efficiency).
   // stream_max_inflight_shards bounds shards cut but not yet retired

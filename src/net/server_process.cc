@@ -1,5 +1,6 @@
-// For pipe2 (see src/shard/worker_process.cc for why O_CLOEXEC must be
-// atomic: spawners may fork from multiple threads).
+// For pipe2 (O_CLOEXEC pipes must be created atomically: spawners fork from
+// multiple threads, so a close-on-exec flag set after pipe() would leave a
+// window for a sibling server to inherit this one's liveness pipe).
 #define _GNU_SOURCE 1
 
 #include "src/net/server_process.h"
@@ -8,6 +9,8 @@
 #include <fcntl.h>
 #include <limits.h>
 #include <poll.h>
+#include <signal.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -18,7 +21,6 @@
 #include "src/common/rng.h"
 #include "src/net/auth.h"
 #include "src/net/socket.h"
-#include "src/shard/worker_process.h"
 
 namespace vdp {
 namespace net {
@@ -66,6 +68,40 @@ std::optional<std::string> ReadAnnouncement(int fd, int timeout_ms) {
     }
     line.push_back(c);
   }
+}
+
+// The reap ladder: up to ~500ms of WNOHANG polling for a graceful exit (a
+// healthy server exits as soon as it sees EOF on its liveness pipe), then
+// SIGKILL, then an EINTR-retried blocking reap. Returns the blame-report
+// description of how the child ended.
+std::string ReapChild(pid_t pid) {
+  int status = 0;
+  pid_t reaped = 0;
+  for (int waited_ms = 0; waited_ms < 500; waited_ms += 10) {
+    reaped = waitpid(pid, &status, WNOHANG);
+    if (reaped != 0) {
+      break;
+    }
+    usleep(10 * 1000);
+  }
+  if (reaped == 0) {
+    kill(pid, SIGKILL);
+    // Retry EINTR: an interrupting timer must not turn a clean SIGKILL reap
+    // into a "wait failed" blame (and a leaked zombie).
+    do {
+      reaped = waitpid(pid, &status, 0);
+    } while (reaped < 0 && errno == EINTR);
+  }
+  if (reaped < 0) {
+    return "wait failed";
+  }
+  if (WIFEXITED(status)) {
+    return "exited " + std::to_string(WEXITSTATUS(status));
+  }
+  if (WIFSIGNALED(status)) {
+    return "killed by signal " + std::to_string(WTERMSIG(status));
+  }
+  return "ended";
 }
 
 }  // namespace

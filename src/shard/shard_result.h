@@ -1,11 +1,10 @@
 // The shard compute core: verify one contiguous shard of the upload stream
 // and deterministically combine per-shard outcomes into a VerifyReport.
 //
-// Extracted from sharded_verifier.h so every execution layer -- the
-// in-process streaming dispatcher (stream_dispatch.h), the subprocess pool
-// (process_pool.h), the remote socket fleet (src/net/remote_fleet.h), and
-// the wire workers themselves -- shares one implementation of the batched
-// validation algorithm and one combiner. Guarantees:
+// Every execution layer -- the in-process streaming dispatcher
+// (stream_dispatch.h), the remote socket fleet (src/net/remote_fleet.h), and
+// the verify_server daemons themselves -- shares this one implementation of
+// the batched validation algorithm and one combiner. Guarantees:
 //
 //   - Equivalence: the merged accepted set, rejection reasons, and the
 //     per-prover/per-bin products of accepted commitments are bit-identical

@@ -3,8 +3,8 @@
 //
 // The paper's curator verifies uploads from millions of clients; holding the
 // whole broadcast resident until Finish() is GBs of RSS at that scale. This
-// layer makes bounded-memory streaming the shared machinery instead of a
-// ShardedVerifier-only feature:
+// layer makes bounded-memory streaming the shared machinery of every
+// backend rather than a feature of one:
 //
 //   - Shard cutting: Add() accumulates uploads into the current shard and
 //     seals it at shard_capacity, assigning contiguous (base, shard_index)
@@ -19,8 +19,8 @@
 //     the stream runs.
 //   - Execution: a ShardExecutor turns one sealed shard into one compact
 //     ShardResult. Lanes map 1:1 to executor resources -- pool worker
-//     threads in process, one verify_worker subprocess per lane
-//     (process_pool.h), one socket per lane (remote_fleet.h) -- and every
+//     threads in process, one verify_server connection per lane
+//     (src/net/remote_fleet.h) -- and every
 //     ExecuteShard(lane, ...) call for a lane happens on the same dispatcher
 //     thread, so executors keep per-lane state without locking.
 //   - Deterministic combine: results are merged with CombineShardResults,
@@ -62,13 +62,12 @@ struct ShardPayload {
   size_t count() const { return view != nullptr ? view_count : owned.size(); }
 };
 
-// An execution engine for sealed shards: in-process batch verification, the
-// verify_worker subprocess pool, or the remote socket fleet. The dispatcher
-// runs lanes() threads; lane i receives every one of its ExecuteShard(i, ..)
-// calls from the same thread and CloseLane(i) from that thread when the
-// stream drains, so per-lane resources (a worker process, a connection) need
-// no synchronization. BeginStream runs on the producer thread before any
-// lane starts.
+// An execution engine for sealed shards: in-process batch verification or
+// the remote socket fleet. The dispatcher runs lanes() threads; lane i
+// receives every one of its ExecuteShard(i, ..) calls from the same thread
+// and CloseLane(i) from that thread when the stream drains, so per-lane
+// resources (a connection) need no synchronization. BeginStream runs on the
+// producer thread before any lane starts.
 template <PrimeOrderGroup G>
 class ShardExecutor {
  public:

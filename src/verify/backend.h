@@ -3,8 +3,8 @@
 //
 // The paper's public verifier is a single logical object; this interface
 // keeps it that way in code. Every execution strategy -- per-proof,
-// RLC-batched, in-process sharded, multi-process, and eventually a remote
-// fleet over sockets -- implements the same three-step lifecycle:
+// RLC-batched, in-process sharded, and a remote fleet over sockets --
+// implements the same three-step lifecycle:
 //
 //   backend->Start(options);          // begin a stream
 //   backend->Add(upload);             // ingest uploads (or Submit(vector))
@@ -36,7 +36,7 @@ struct VerifyOptions {
   // client half of Eq. 10). Skip when only decisions are needed.
   bool compute_products = true;
   // Thread pool for in-process parallelism; nullptr runs serially. Backends
-  // with their own execution resources (worker processes) may ignore it.
+  // with their own execution resources (a verify_server fleet) may ignore it.
   ThreadPool* pool = nullptr;
   // Streaming knobs for backends on the shard dispatcher
   // (src/shard/stream_dispatch.h): uploads per sealed shard, and the bound
@@ -47,8 +47,8 @@ struct VerifyOptions {
   size_t stream_max_inflight_shards = 0;
   // When set, the stream records trace spans (ingest, verify, per-shard
   // dispatch, combine) into this collector, parented under trace_parent --
-  // for the remote/multiprocess backends the span context also crosses the
-  // wire so worker/server spans stitch into the same tree. Null collector =
+  // for the remote backend the span context also crosses the wire so
+  // server spans stitch into the same tree. Null collector =
   // tracing off, zero overhead.
   obs::TraceCollector* tracer = nullptr;
   obs::TraceContext trace_parent{};
@@ -59,7 +59,7 @@ class VerifyBackend {
  public:
   virtual ~VerifyBackend() = default;
 
-  // Stable identifier ("per-proof", "batched", "sharded", "multiprocess");
+  // Stable identifier ("per-proof", "batched", "sharded", "remote");
   // stamped into every report this backend produces.
   virtual std::string_view name() const = 0;
 
@@ -117,8 +117,8 @@ class VerifyBackend {
 };
 
 // Shared lifecycle for backends that buffer the whole stream and verify at
-// Finish (per-proof, batched, multiprocess -- and any future backend whose
-// unit of work is the full stream, like a remote fleet). Derived classes
+// Finish (batched -- and any future backend whose unit of work is the full
+// stream). Derived classes
 // implement one hook, Run(uploads), and get a consistent Start/Add/Finish
 // plus a zero-copy VerifyAll for free: the one-shot path verifies the
 // caller's vector directly, with Start clearing any stale buffered stream so

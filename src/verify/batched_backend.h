@@ -2,7 +2,7 @@
 // check over a single multi-scalar multiplication (PR 1's src/batch/), with
 // per-proof blame attribution only when the combined check fails.
 //
-// Implemented as VerifyShard (src/shard/sharded_verifier.h) on a single
+// Implemented as VerifyShard (src/shard/shard_result.h) on a single
 // whole-stream shard -- the same code the sharded pipeline runs per shard,
 // so the batched and sharded decisions cannot drift apart.
 #ifndef SRC_VERIFY_BATCHED_BACKEND_H_
@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "src/common/timer.h"
-#include "src/shard/sharded_verifier.h"
+#include "src/shard/shard_result.h"
 #include "src/verify/backend.h"
 
 namespace vdp {

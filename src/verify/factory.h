@@ -5,16 +5,17 @@
 // `verify_workers` were re-interpreted by scattered checks inside
 // PublicVerifier, RunProtocol, and AuditTranscript. Now the flags are
 // config-surface only: SelectVerifyBackend is the whole selection policy,
-// and a fifth strategy (the ROADMAP's socket-transport RemoteBackend) is a
-// new case here rather than a fourth copy of the dispatch logic.
+// and a new strategy is a new case here rather than another copy of the
+// dispatch logic.
 //
 // Selection policy (first match wins):
 //
-//   remote_verifiers set  ->  RemoteBackend       (verify_server socket fleet)
-//   verify_workers   > 1  ->  MultiprocessBackend (worker subprocess fleet)
-//   num_verify_shards > 1 ->  ShardedBackend      (in-process shard pipeline)
-//   batch_verify          ->  BatchedBackend      (one whole-stream RLC batch)
-//   otherwise             ->  PerProofBackend     (the per-proof oracle)
+//   remote_verifiers set  ->  RemoteBackend    (verify_server socket fleet)
+//   verify_workers   > 1  ->  RemoteBackend    (on a private loopback fleet of
+//                                               verify_workers servers)
+//   num_verify_shards > 1 ->  ShardedBackend   (in-process shard pipeline)
+//   batch_verify          ->  BatchedBackend   (one whole-stream RLC batch)
+//   otherwise             ->  PerProofBackend  (the per-proof oracle)
 #ifndef SRC_VERIFY_FACTORY_H_
 #define SRC_VERIFY_FACTORY_H_
 
@@ -26,7 +27,6 @@
 #include <vector>
 
 #include "src/verify/batched_backend.h"
-#include "src/verify/multiprocess_backend.h"
 #include "src/verify/per_proof_backend.h"
 #include "src/verify/remote_backend.h"
 #include "src/verify/sharded_backend.h"
@@ -37,7 +37,6 @@ enum class VerifyBackendKind {
   kPerProof,
   kBatched,
   kSharded,
-  kMultiprocess,
   kRemote,
 };
 
@@ -49,8 +48,6 @@ inline const char* VerifyBackendKindName(VerifyBackendKind kind) {
       return "batched";
     case VerifyBackendKind::kSharded:
       return "sharded";
-    case VerifyBackendKind::kMultiprocess:
-      return "multiprocess";
     case VerifyBackendKind::kRemote:
       return "remote";
   }
@@ -62,8 +59,7 @@ inline const char* VerifyBackendKindName(VerifyBackendKind kind) {
 // and in MakeVerifyBackend's switch.
 inline std::vector<VerifyBackendKind> AllVerifyBackendKinds() {
   return {VerifyBackendKind::kPerProof, VerifyBackendKind::kBatched,
-          VerifyBackendKind::kSharded, VerifyBackendKind::kMultiprocess,
-          VerifyBackendKind::kRemote};
+          VerifyBackendKind::kSharded, VerifyBackendKind::kRemote};
 }
 
 inline std::optional<VerifyBackendKind> VerifyBackendKindFromName(std::string_view name) {
@@ -77,11 +73,8 @@ inline std::optional<VerifyBackendKind> VerifyBackendKindFromName(std::string_vi
 
 // The whole mode-selection policy, in one function.
 inline VerifyBackendKind SelectVerifyBackend(const ProtocolConfig& config) {
-  if (!config.remote_verifiers.empty()) {
+  if (!config.remote_verifiers.empty() || config.verify_workers > 1) {
     return VerifyBackendKind::kRemote;
-  }
-  if (config.verify_workers > 1) {
-    return VerifyBackendKind::kMultiprocess;
   }
   if (config.num_verify_shards > 1) {
     return VerifyBackendKind::kSharded;
@@ -108,8 +101,6 @@ std::unique_ptr<VerifyBackend<G>> MakeVerifyBackend(VerifyBackendKind kind,
       return std::make_unique<BatchedBackend<G>>(config, std::move(ped));
     case VerifyBackendKind::kSharded:
       return std::make_unique<ShardedBackend<G>>(config, std::move(ped));
-    case VerifyBackendKind::kMultiprocess:
-      return std::make_unique<MultiprocessBackend<G>>(config, std::move(ped));
     case VerifyBackendKind::kRemote:
       return std::make_unique<RemoteBackend<G>>(config, std::move(ped));
   }

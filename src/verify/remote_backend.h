@@ -1,12 +1,16 @@
 // RemoteBackend: shards farmed out to verify_server daemons over
 // authenticated sockets (src/net/remote_fleet.h), with blamed retries,
 // reconnects, and in-process recovery, so the verdict never depends on
-// fleet health -- the fifth registered execution strategy, and the first
-// whose verifiers live on other machines.
+// fleet health -- the one out-of-process execution strategy, whose
+// verifiers may live on other machines or in local subprocesses.
 //
 // The fleet comes from ProtocolConfig::remote_verifiers (validated
-// endpoints; a config that selected this backend through the factory always
-// has them) and authenticates with ProtocolConfig::remote_auth_key_hex.
+// endpoints) and authenticates with ProtocolConfig::remote_auth_key_hex.
+// When remote_verifiers is empty and verify_workers > 1, the backend spawns
+// a private loopback fleet of verify_workers servers (net::LoopbackFleet,
+// fresh random secret) that lives and dies with it; a server that fails to
+// start only shrinks the fleet, and a fleet that cannot start at all
+// degrades to in-process verification of every shard.
 // Streaming Add cuts shards through the dispatcher and ships them to the
 // fleet while ingestion continues -- shards only leave the process as whole
 // authenticated wire frames, and at most the in-flight window of them is
@@ -21,6 +25,7 @@
 #include <vector>
 
 #include "src/net/remote_fleet.h"
+#include "src/net/server_process.h"
 #include "src/verify/streaming_backend.h"
 
 namespace vdp {
@@ -30,7 +35,12 @@ class RemoteBackend final : public StreamingVerifyBackend<G> {
  public:
   RemoteBackend(const ProtocolConfig& config, Pedersen<G> ped,
                 RemoteFleetOptions options = {})
-      : config_(config), ped_(std::move(ped)), fleet_options_(std::move(options)) {}
+      : config_(config), ped_(std::move(ped)), fleet_options_(std::move(options)) {
+    if (config_.remote_verifiers.empty() && config_.verify_workers > 1) {
+      loopback_ = std::make_unique<net::LoopbackFleet>(config_.verify_workers);
+      loopback_->ApplyTo(&config_);
+    }
+  }
 
   ~RemoteBackend() override { this->AbortStream(); }
 
@@ -63,6 +73,7 @@ class RemoteBackend final : public StreamingVerifyBackend<G> {
   }
 
  private:
+  std::unique_ptr<net::LoopbackFleet> loopback_;  // the verify_workers fleet, if any
   ProtocolConfig config_;
   Pedersen<G> ped_;
   RemoteFleetOptions fleet_options_;

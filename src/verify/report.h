@@ -4,7 +4,7 @@
 // The paper's public verifier is a single logical object -- anyone can rerun
 // Line 3 of Figure 2 from the broadcast transcript -- so no matter which
 // execution strategy performed the checks (per-proof, RLC-batched, sharded,
-// multi-process, or a future remote fleet), the *outcome* must be expressible
+// or a remote fleet), the *outcome* must be expressible
 // in one shape: which uploads were accepted, why each rejected upload was
 // rejected (typed, not a formatted string), and the per-prover/per-bin
 // products of accepted commitments that feed the Eq. 10 final check.
@@ -97,8 +97,8 @@ inline constexpr const char* kStageCombine = "combine";
 
 // Wall-clock cost of the pipeline stages every backend has: ingesting the
 // stream (Add/Submit buffering), verifying uploads (structural checks +
-// proof checks, however parallelized -- for the multiprocess/remote
-// backends this is the whole fleet drive, wire cost included), and
+// proof checks, however parallelized -- for the remote backend this is
+// the whole fleet drive, wire cost included), and
 // combining per-shard results into the global report. total_ms is the
 // backend-resident wall time (time spent inside Start/Add/Finish or
 // VerifyAll), so the named stages must sum to it within the small assembly

@@ -1,7 +1,7 @@
 // Shared lifecycle for backends that stream: uploads flow through the shard
 // dispatcher (src/shard/stream_dispatch.h) as they are Added, so shards ship
-// to the backend's executor -- pool threads, verify_worker subprocesses,
-// remote verify_server daemons -- while ingestion continues, and resident
+// to the backend's executor -- pool threads or verify_server daemons --
+// while ingestion continues, and resident
 // memory is bounded by the dispatcher's in-flight window instead of the
 // stream length.
 //

@@ -14,7 +14,7 @@
 #include "src/core/messages.h"
 #include "src/core/params.h"
 #include "src/obs/trace.h"
-#include "src/shard/sharded_verifier.h"
+#include "src/shard/shard_result.h"
 #include "src/wire/wire_format.h"
 
 namespace vdp {

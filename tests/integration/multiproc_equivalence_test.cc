@@ -103,7 +103,7 @@ TEST(MultiprocEquivalence, ValidationDecisionsAndProductsAreBitIdentical) {
   auto sharded_verdict = sharded.ValidateClientsReport(uploads);
   auto multiproc_verdict = multiproc.ValidateClientsReport(uploads);
   EXPECT_EQ(sharded_verdict.backend, "sharded");
-  EXPECT_EQ(multiproc_verdict.backend, "multiprocess");
+  EXPECT_EQ(multiproc_verdict.backend, "remote");
   auto direct = DirectProducts(BaseConfig(), uploads, mono_accepted);
   ASSERT_EQ(multiproc_verdict.commitment_products.size(), direct.size());
   for (size_t k = 0; k < direct.size(); ++k) {

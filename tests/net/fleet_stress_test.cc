@@ -1,11 +1,11 @@
-// Fleet drivers under adversarial interleavings, written for the tsan CI
-// job: the process pool and the remote socket fleet execute a streamed run
-// while other threads read Progress/PartialReport and rip the fleet-health
-// report out mid-stream, and a close-faulted server turns every one of its
-// shards into a reconnect -- a reconnect storm with concurrent observers.
-// Verdicts must still match the deterministic expectation; under
-// ThreadSanitizer any unsynchronized access in the executors' shared report
-// state or the dispatcher is a hard failure.
+// The fleet driver under adversarial interleavings, written for the tsan CI
+// job: the remote socket fleet executes a streamed run while other threads
+// read Progress/PartialReport and rip the fleet-health report out
+// mid-stream, and a close-faulted server turns every one of its shards into
+// a reconnect -- a reconnect storm with concurrent observers. Verdicts must
+// still match the deterministic expectation; under ThreadSanitizer any
+// unsynchronized access in the executor's shared report state or the
+// dispatcher is a hard failure.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -14,7 +14,6 @@
 
 #include "src/net/remote_fleet.h"
 #include "src/net/server_process.h"
-#include "src/shard/process_pool.h"
 #include "src/verify/factory.h"
 
 namespace vdp {
@@ -89,18 +88,6 @@ void ExpectVerdict(const VerifyReport<G>& report, size_t n) {
   EXPECT_EQ(report.total_uploads, n);
   EXPECT_EQ(report.accepted.size(), n - 2);
   EXPECT_EQ(report.rejections.size(), 2u);
-}
-
-TEST(FleetStressTest, ProcessPoolStreamWithConcurrentObservers) {
-  ProtocolConfig config = BaseConfig();
-  Pedersen<G> ped;
-  auto uploads = Corpus(config, ped, 15);
-  ProcessPoolOptions options;
-  options.num_workers = 2;
-  MultiprocessVerifier<G> pool(config, ped, options);
-  VerifyReport<G> report = StreamWithObservers(config, &pool, std::move(uploads),
-                                               [&pool] { (void)pool.TakeReport(); });
-  ExpectVerdict(report, 15);
 }
 
 TEST(FleetStressTest, RemoteFleetReconnectStormWithConcurrentObservers) {

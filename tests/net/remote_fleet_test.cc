@@ -356,6 +356,62 @@ TEST_F(RemoteFleetTest, RemoteBackendThroughFactory) {
   ExpectMatchesOracle(config, report, uploads);
 }
 
+TEST_F(RemoteFleetTest, VerifyWorkersSpawnsAPrivateLoopbackFleet) {
+  ProtocolConfig config = BaseConfig();
+  config.verify_workers = 3;
+  auto uploads = Corpus(config, ped_);
+
+  EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kRemote);
+  auto backend = MakeVerifyBackend<G>(config, ped_);
+  auto* remote = dynamic_cast<RemoteBackend<G>*>(backend.get());
+  ASSERT_NE(remote, nullptr);
+  auto report = backend->VerifyAll(uploads);
+  EXPECT_EQ(report.backend, "remote");
+  ExpectMatchesOracle(config, report, uploads);
+  const RemoteFleetReport& fleet = remote->last_fleet_report();
+  EXPECT_EQ(fleet.shards_total, 4u);
+  EXPECT_EQ(fleet.shards_from_remote, fleet.shards_total);
+  EXPECT_TRUE(fleet.failures.empty()) << "first failure: " << fleet.failures[0].reason;
+}
+
+// Scoped override of the verify_server binary the loopback spawner execs.
+class ScopedServerPath {
+ public:
+  explicit ScopedServerPath(const char* path) { setenv("VDP_VERIFY_SERVER_PATH", path, 1); }
+  ~ScopedServerPath() { unsetenv("VDP_VERIFY_SERVER_PATH"); }
+  ScopedServerPath(const ScopedServerPath&) = delete;
+  ScopedServerPath& operator=(const ScopedServerPath&) = delete;
+};
+
+TEST_F(RemoteFleetTest, MissingServerBinaryRecoversInProcess) {
+  // The verify_workers fleet cannot start at all: the backend is left with
+  // no endpoints, and every shard must take the counted in-process fallback
+  // with the verdict unchanged.
+  ProtocolConfig config = BaseConfig();
+  config.verify_workers = 3;
+  auto uploads = Corpus(config, ped_);
+
+  std::unique_ptr<VerifyBackend<G>> backend;
+  {
+    ScopedServerPath missing("/nonexistent/verify_server");
+    backend = MakeVerifyBackend<G>(config, ped_);
+  }
+  auto* remote = dynamic_cast<RemoteBackend<G>*>(backend.get());
+  ASSERT_NE(remote, nullptr);
+  const uint64_t recovered_before =
+      obs::GlobalCounter(obs::kFleetShardsRecovered)->value();
+  auto report = backend->VerifyAll(uploads);
+
+  ExpectMatchesOracle(config, report, uploads);
+  EXPECT_EQ(report.RenderedReasons(), Oracle(config, uploads).RenderedReasons());
+  const RemoteFleetReport& fleet = remote->last_fleet_report();
+  EXPECT_GT(fleet.shards_total, 0u);
+  EXPECT_EQ(fleet.shards_from_remote, 0u);
+  EXPECT_EQ(fleet.shards_recovered_in_process, fleet.shards_total);
+  EXPECT_EQ(obs::GlobalCounter(obs::kFleetShardsRecovered)->value() - recovered_before,
+            fleet.shards_total);
+}
+
 TEST_F(RemoteFleetTest, ValidateRejectsBadRemoteConfigs) {
   ProtocolConfig config = BaseConfig();
   config.remote_verifiers = {"tcp:127.0.0.1:7000"};

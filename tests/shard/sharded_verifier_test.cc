@@ -1,11 +1,12 @@
-// Sharded verification pipeline (src/shard/): the combined verdict must be
-// bit-identical to the monolithic PublicVerifier path -- accepted set,
-// rejection reasons, and Eq. 10 commitment products -- and blame attribution
-// must stay confined to the shard containing the corrupted upload.
+// Sharded verification pipeline (src/shard/ behind the sharded backend):
+// the combined verdict must be bit-identical to the monolithic
+// PublicVerifier path -- accepted set, rejection reasons, and Eq. 10
+// commitment products -- and blame attribution must stay confined to the
+// shard containing the corrupted upload.
 #include <gtest/gtest.h>
 
 #include "src/core/audit.h"
-#include "src/shard/sharded_verifier.h"
+#include "src/verify/factory.h"
 
 namespace vdp {
 namespace {
@@ -37,6 +38,11 @@ std::vector<ClientUploadMsg<G>> MakeUploads(const ProtocolConfig& config,
             .upload);
   }
   return uploads;
+}
+
+std::unique_ptr<VerifyBackend<G>> Sharded(const ProtocolConfig& config,
+                                          const Pedersen<G>& ped) {
+  return MakeVerifyBackend<G>(VerifyBackendKind::kSharded, config, ped);
 }
 
 // The monolithic oracle's view of the Eq. 10 client product.
@@ -141,7 +147,7 @@ TEST(ShardedVerifierTest, FallbackConfinedToCorruptedShard) {
   }
 
   // And the combined verdict agrees with the monolithic path.
-  auto verdict = ShardedVerifier<G>::VerifyAll(config, ped, uploads);
+  auto verdict = Sharded(config, ped)->VerifyAll(uploads);
   EXPECT_EQ(verdict.shards_with_fallback, 1u);
   auto monolithic_config = config;
   monolithic_config.num_verify_shards = 1;
@@ -160,13 +166,17 @@ TEST(ShardedVerifierTest, StreamingMatchesOneShot) {
   uploads[29].sum_randomness += S::One();  // breaks the one-hot opening
 
   ThreadPool pool(3);
-  ShardedVerifier<G> streaming(config, ped, &pool, /*shard_capacity=*/8,
-                               /*max_pending_shards=*/2);
+  VerifyOptions options;
+  options.pool = &pool;
+  options.stream_shard_capacity = 8;
+  options.stream_max_inflight_shards = 2;
+  auto streaming = Sharded(config, ped);
+  streaming->Start(options);
   for (const auto& u : uploads) {
-    streaming.Add(u);
+    streaming->Add(u);
   }
-  auto stream_verdict = streaming.Finish();
-  auto oneshot_verdict = ShardedVerifier<G>::VerifyAll(config, ped, uploads, &pool);
+  auto stream_verdict = streaming->Finish();
+  auto oneshot_verdict = Sharded(config, ped)->VerifyAll(uploads, options);
 
   EXPECT_EQ(stream_verdict.accepted, oneshot_verdict.accepted);
   EXPECT_EQ(stream_verdict.rejections, oneshot_verdict.rejections);
@@ -181,8 +191,8 @@ TEST(ShardedVerifierTest, StreamingMatchesOneShot) {
   }
 
   // A finished verifier is reset: a second stream starts from index 0.
-  streaming.Add(uploads[0]);
-  auto second = streaming.Finish();
+  streaming->Add(uploads[0]);
+  auto second = streaming->Finish();
   EXPECT_EQ(second.accepted, (std::vector<size_t>{0}));
   EXPECT_EQ(second.total_uploads, 1u);
 }
@@ -193,8 +203,9 @@ TEST(ShardedVerifierTest, EdgeShapes) {
   Pedersen<G> ped;
 
   // Empty stream.
-  ShardedVerifier<G> empty(config, ped);
-  auto verdict = empty.Finish();
+  auto empty = Sharded(config, ped);
+  empty->Start({});
+  auto verdict = empty->Finish();
   EXPECT_TRUE(verdict.accepted.empty());
   EXPECT_EQ(verdict.num_shards, 0u);
   ASSERT_EQ(verdict.commitment_products.size(), 1u);
@@ -202,7 +213,7 @@ TEST(ShardedVerifierTest, EdgeShapes) {
 
   // More shards than uploads: collapses to one shard per upload, same verdict.
   auto uploads = MakeUploads(config, ped, 3, rng);
-  auto small = ShardedVerifier<G>::VerifyAll(config, ped, uploads);
+  auto small = Sharded(config, ped)->VerifyAll(uploads);
   EXPECT_EQ(small.accepted, (std::vector<size_t>{0, 1, 2}));
   EXPECT_EQ(small.num_shards, 3u);
 }

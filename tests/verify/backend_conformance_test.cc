@@ -8,9 +8,11 @@
 // the group registry: VDP_GROUP selects which compiled-in group runs (the CI
 // group-matrix job exports ed25519; default modp-256), so the same binary
 // proves conformance for the mod-p and curve arithmetic paths alike. The
-// multiprocess backend's worker count honors VDP_VERIFY_WORKERS (the CI
-// backend-matrix job exports 3) so the fleet shape under test varies across
-// workflow configurations without changing any decision.
+// remote backend runs on a shared 2-server loopback fleet, or -- when
+// VDP_VERIFY_WORKERS > 1 (the CI backend-matrix job exports 3) -- through
+// the verify_workers sugar, each backend spawning its own private fleet of
+// that size, so the fleet shape under test varies across workflow
+// configurations without changing any decision.
 #include <gtest/gtest.h>
 #include <signal.h>
 
@@ -26,6 +28,7 @@
 namespace vdp {
 namespace {
 
+// VDP_VERIFY_WORKERS when it asks for a fleet (> 1), else 0.
 size_t WorkersFromEnv() {
   if (const char* env = std::getenv("VDP_VERIFY_WORKERS")) {
     long parsed = std::strtol(env, nullptr, 10);
@@ -33,7 +36,7 @@ size_t WorkersFromEnv() {
       return static_cast<size_t>(parsed);
     }
   }
-  return 2;
+  return 0;
 }
 
 // Runs fn(GroupTag<G>{}) for the group selected by VDP_GROUP (default
@@ -70,16 +73,16 @@ struct Suite {
       case VerifyBackendKind::kSharded:
         config.num_verify_shards = 5;
         break;
-      case VerifyBackendKind::kMultiprocess:
+      case VerifyBackendKind::kRemote:
+        // A real loopback socket fleet: the backend's own, via the
+        // verify_workers sugar, or one shared across the suite (spawned on
+        // first use, down with the process). The servers select this group
+        // from the wire setup frame, so one fleet serves every group.
         config.num_verify_shards = 5;
         config.verify_workers = WorkersFromEnv();
-        break;
-      case VerifyBackendKind::kRemote:
-        // A real loopback socket fleet, shared across the suite (spawned on
-        // first use, down with the process). The fleet's workers select this
-        // group from the wire setup frame, so one fleet serves every group.
-        config.num_verify_shards = 5;
-        net::SharedLoopbackFleet(2).ApplyTo(&config);
+        if (config.verify_workers == 0) {
+          net::SharedLoopbackFleet(2).ApplyTo(&config);
+        }
         break;
     }
     return config;
@@ -368,8 +371,8 @@ struct Suite {
   // --- cross-backend (not parameterized) ----------------------------------
 
   // The rejection-reason regression: the typed RejectionReasons -- code,
-  // detail, AND rendered legacy string -- must be identical from all five
-  // backends, pinned against literal expectations so a drift in any one path
+  // detail, AND rendered legacy string -- must be identical from every
+  // backend, pinned against literal expectations so a drift in any one path
   // fails loudly.
   static void AllBackendsRenderIdenticalReasons() {
     Pedersen<G> ped;
@@ -553,16 +556,17 @@ TEST(BackendFactoryTest, SelectionPolicyMatchesLegacyFlags) {
   config.num_verify_shards = 4;
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kSharded);
   config.verify_workers = 3;
-  EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kMultiprocess);
+  EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kRemote);
 
-  // Sharding wins over batch_verify alone; workers win over both; a
-  // provisioned remote fleet wins over everything.
+  // Sharding wins over batch_verify alone; workers (the remote backend on a
+  // private loopback fleet) win over both, as does a provisioned remote
+  // fleet.
   ProtocolConfig sharded_only;
   sharded_only.num_verify_shards = 2;
   EXPECT_EQ(SelectVerifyBackend(sharded_only), VerifyBackendKind::kSharded);
   ProtocolConfig workers_only;
   workers_only.verify_workers = 2;
-  EXPECT_EQ(SelectVerifyBackend(workers_only), VerifyBackendKind::kMultiprocess);
+  EXPECT_EQ(SelectVerifyBackend(workers_only), VerifyBackendKind::kRemote);
   config.remote_verifiers = {"tcp:127.0.0.1:7000"};
   config.remote_auth_key_hex = std::string(32, 'a');
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kRemote);

@@ -3,8 +3,8 @@
 // every poll/read/write in flight gets interrupted over and over. A
 // multi-megabyte frame squeezed through a pipe (64 KB kernel buffer, so
 // thousands of partial reads and writes) must still arrive intact -- EINTR
-// is a retry, never a peer failure. This pins the behavior the multiprocess
-// pool and the socket fleet rely on under sanitizer/profiler/CI signals.
+// is a retry, never a peer failure. This pins the behavior the socket fleet
+// relies on under sanitizer/profiler/CI signals.
 #include <fcntl.h>
 #include <gtest/gtest.h>
 #include <signal.h>

@@ -18,8 +18,8 @@
 // memory ceiling is checkable from the committed log alone.
 //
 // Usage:
-//   stream_soak [--uploads N] [--backend per-proof|sharded|multiprocess|remote]
-//               [--shard-capacity N] [--window N] [--workers N]
+//   stream_soak [--uploads N] [--backend per-proof|sharded|remote]
+//               [--shard-capacity N] [--window N]
 //               [--endpoints N] [--fault <mode>:<id|all>] [--tamper-every K]
 //               [--rss-limit-mb M] [--metrics-out PATH] [--scenario NAME]
 #include <cstdio>
@@ -41,7 +41,7 @@ namespace {
 
 // The 64-bit toy group: small enough that a million sigma proofs are cheap
 // to make and check, registered end-to-end (wire dispatch included) so the
-// multiprocess and remote paths run the real serialization.
+// remote path runs the real serialization.
 using G = vdp::ModP64;
 
 struct SoakArgs {
@@ -49,7 +49,6 @@ struct SoakArgs {
   std::string backend = "sharded";
   size_t shard_capacity = 4096;
   size_t window = 0;  // 0 = dispatcher default (two shards per lane)
-  size_t workers = 2;
   size_t endpoints = 2;
   std::string fault;
   size_t tamper_every = 0;  // 0 = clean stream
@@ -73,8 +72,6 @@ struct SoakArgs {
         args.shard_capacity = std::strtoull(value, nullptr, 10);
       } else if (flag == "--window" && (value = next())) {
         args.window = std::strtoull(value, nullptr, 10);
-      } else if (flag == "--workers" && (value = next())) {
-        args.workers = std::strtoull(value, nullptr, 10);
       } else if (flag == "--endpoints" && (value = next())) {
         args.endpoints = std::strtoull(value, nullptr, 10);
       } else if (flag == "--fault" && (value = next())) {
@@ -166,16 +163,13 @@ int main(int argc, char** argv) {
     case vdp::VerifyBackendKind::kSharded:
       config.num_verify_shards = 8;
       break;
-    case vdp::VerifyBackendKind::kMultiprocess:
-      config.verify_workers = args.workers < 2 ? 2 : args.workers;
-      break;
     case vdp::VerifyBackendKind::kRemote:
       fleet = std::make_unique<vdp::net::LoopbackFleet>(args.endpoints, args.fault);
       fleet->ApplyTo(&config);
       break;
   }
 
-  // Run-log plumbing: every writer (this process and any worker/server
+  // Run-log plumbing: every writer (this process and any server
   // subprocess reached through $VDP_METRICS_OUT) must append.
   const char* out_env = std::getenv("VDP_METRICS_OUT");
   std::string log_path = !args.metrics_out.empty() ? args.metrics_out
