@@ -3,11 +3,11 @@
 // verdict.
 //
 // This is the perf contract of the VerifyBackend API (src/verify/): the
-// factory's four execution strategies are interchangeable in outcome, so the
-// only thing this bench is allowed to show differing is wall clock. Expected
-// shape on real hardware: batched beats per-proof by the PR-1 RLC/MSM
-// factor, sharded adds thread-level fan-out, remote pays wire + process +
-// HMAC overhead it can only win back with physical cores.
+// factory's three execution strategies are interchangeable in outcome, so
+// the only thing this bench is allowed to show differing is wall clock.
+// Expected shape on real hardware: sharded beats per-proof by the RLC/MSM
+// factor plus thread-level fan-out, remote pays wire + process + HMAC
+// overhead it can only win back with physical cores.
 //
 // The matrix also sweeps group backends: the primary group (modp-256, the
 // committed-baseline rows) runs the full pool sweep, and every group named
@@ -49,9 +49,6 @@ vdp::ProtocolConfig ConfigFor(vdp::VerifyBackendKind kind) {
   switch (kind) {
     case vdp::VerifyBackendKind::kPerProof:
       break;
-    case vdp::VerifyBackendKind::kBatched:
-      config.batch_verify = true;
-      break;
     case vdp::VerifyBackendKind::kSharded:
       config.num_verify_shards = 8;
       break;
@@ -83,9 +80,9 @@ int RunMatrix(vdp::obs::RunLogWriter* log, const std::vector<size_t>& pool_sizes
     uploads.push_back(vdp::MakeClientBundle<G>(i % 2, i, base, ped, rng).upload);
   }
 
-  // Two regimes: an all-valid stream (the RLC batch accepts in one check)
-  // and a stream with one tampered proof (the whole-stream batch pays a full
-  // per-proof fallback; sharding confines that cost to one shard of 512).
+  // Two regimes: an all-valid stream (every shard's RLC batch accepts in one
+  // check) and a stream with one tampered proof (sharding confines the
+  // per-proof fallback to one shard of 512).
   for (const char* scenario : {"clean", "one-tampered"}) {
     if (std::string(scenario) == "one-tampered") {
       uploads[kUploads / 3].bin_proofs[0].z0 += G::Scalar::One();

@@ -28,9 +28,9 @@
 #include <vector>
 
 #include "src/common/timer.h"
-#include "src/net/remote_fleet.h"
 #include "src/net/server_process.h"
 #include "src/obs/runlog.h"
+#include "src/verify/factory.h"
 
 namespace {
 
@@ -93,7 +93,10 @@ int main() {
     return 1;
   }
 
-  vdp::ThreadPool& pool = vdp::GlobalPool();
+  vdp::VerifyOptions inproc_options;
+  inproc_options.pool = &vdp::GlobalPool();
+  auto inproc_backend =
+      vdp::MakeVerifyBackend<G>(vdp::VerifyBackendKind::kSharded, config, ped);
   vdp::Stopwatch timer;
 
   auto emit = [&](const std::string& scenario, const std::string& backend,
@@ -114,11 +117,9 @@ int main() {
     }
     std::printf("-- scenario: %s --\n", scenario);
 
-    // In-process baseline (PR 2 pipeline on the global thread pool).
+    // In-process baseline: the sharded backend on the global thread pool.
     timer.Reset();
-    vdp::InProcessShardExecutor<G> executor(config, ped, &pool);
-    auto inproc = vdp::DispatchAllShards<G>(config, &executor, uploads, kShards,
-                                            /*compute_products=*/true);
+    auto inproc = inproc_backend->VerifyAll(uploads, inproc_options);
     const double inproc_ms = timer.ElapsedMillis();
     inproc_accepted = inproc.accepted;
     // "in-process:0" matches the legacy baseline's {mode, fleet} row key.
@@ -133,11 +134,11 @@ int main() {
       remote_config.remote_verifiers.assign(endpoints.begin(),
                                             endpoints.begin() + servers);
       remote_config.remote_auth_key_hex = fleet.key_hex();
-      vdp::RemoteVerifierFleet<G> verifier(remote_config, ped);
-      vdp::RemoteFleetReport report;
+      vdp::RemoteBackend<G> verifier(remote_config, ped);
       timer.Reset();
-      auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+      auto verdict = verifier.VerifyAll(uploads);
       const double elapsed_ms = timer.ElapsedMillis();
+      const vdp::RemoteFleetReport& report = verifier.last_fleet_report();
       emit(scenario, "remote:" + std::to_string(servers), verdict.timings, elapsed_ms,
            verdict.accepted.size(), report.shards_recovered_in_process,
            report.failures.size());
@@ -165,15 +166,15 @@ int main() {
     faulty.ApplyTo(&remote_config);
 
     vdp::obs::TraceCollector tracer;
-    vdp::RemoteFleetOptions fleet_options;
-    fleet_options.tracer = &tracer;
-    fleet_options.trace_parent = tracer.RootContext();
+    vdp::VerifyOptions traced;
+    traced.tracer = &tracer;
+    traced.trace_parent = tracer.RootContext();
 
-    vdp::RemoteVerifierFleet<G> verifier(remote_config, ped, fleet_options);
-    vdp::RemoteFleetReport report;
+    vdp::RemoteBackend<G> verifier(remote_config, ped);
     timer.Reset();
-    auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+    auto verdict = verifier.VerifyAll(uploads, traced);
     const double elapsed_ms = timer.ElapsedMillis();
+    const vdp::RemoteFleetReport& report = verifier.last_fleet_report();
     emit("traced-faulty", "remote:3", verdict.timings, elapsed_ms,
          verdict.accepted.size(), report.shards_recovered_in_process,
          report.failures.size());

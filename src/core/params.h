@@ -49,19 +49,22 @@ struct ProtocolConfig {
   // multi-scalar multiplication (src/batch/) instead of per-proof
   // exponentiation chains. Accept/reject decisions match the per-proof path:
   // an all-valid batch always accepts, and on batch failure the verifier
-  // falls back to per-proof checks to attribute blame.
+  // falls back to per-proof checks to attribute blame. For client uploads
+  // this selects the sharded backend (src/verify/sharded_backend.h); with
+  // num_verify_shards = 1 its one-shot path is a single whole-stream batch.
   bool batch_verify = false;
 
-  // Partition client uploads into this many contiguous shards for validation
-  // (src/verify/sharded_backend.h). Each shard batch-verifies independently
-  // (fanned across the ThreadPool) and a deterministic combiner merges the
-  // per-shard results; the accepted set is bit-identical to the monolithic
-  // path. On a batch failure only the offending shard pays the per-proof
-  // blame-attribution fallback. 1 (the default) keeps the monolithic path.
-  // Note: sharded validation always uses the RLC batch check within each
-  // shard, regardless of batch_verify -- decisions are still identical (the
-  // fallback is the per-proof oracle), but to run the pure per-proof mode
-  // leave num_verify_shards at 1 with batch_verify false.
+  // The one-shot shard partition of client uploads for validation
+  // (src/verify/sharded_backend.h): this many contiguous shards, each
+  // batch-verified independently (fanned across the ThreadPool) and merged
+  // by a deterministic combiner; the accepted set is bit-identical to the
+  // per-proof path. On a batch failure only the offending shard pays the
+  // per-proof blame-attribution fallback. > 1 selects the sharded backend
+  // even without batch_verify: sharded validation always uses the RLC batch
+  // check within each shard -- decisions are still identical (the fallback
+  // is the per-proof oracle), but to run the pure per-proof mode leave
+  // num_verify_shards at 1 with batch_verify false. Streams are cut by
+  // stream_shard_capacity instead.
   size_t num_verify_shards = 1;
 
   // Farm shard verification out to this many local verify_server
@@ -88,7 +91,7 @@ struct ProtocolConfig {
   std::vector<std::string> remote_verifiers;
 
   // Streaming ingest knobs (src/shard/stream_dispatch.h), honored by every
-  // backend that streams (per-proof, sharded, remote).
+  // backend (per-proof, sharded, remote).
   // stream_shard_capacity is the number of uploads per sealed shard; 0 picks
   // the dispatcher default (1024, sized for MSM efficiency).
   // stream_max_inflight_shards bounds shards cut but not yet retired

@@ -73,12 +73,6 @@ struct RemoteFleetOptions {
   // Connect+handshake tries per (re)connection, with backoff between.
   size_t connect_attempts = 2;
   int reconnect_backoff_ms = 50;
-  // When set, dispatches record "dispatch" spans here (parented under
-  // trace_parent), span context crosses the wire, and server-recorded spans
-  // are adopted back into this collector. Used by the one-shot VerifyAll
-  // entry point; dispatcher streams override it via BeginStream.
-  obs::TraceCollector* tracer = nullptr;
-  obs::TraceContext trace_parent{};
   // When set, dispatch consults the health registry (fed by a background
   // prober): shards skip endpoints it calls dead (straight to the
   // in-process fallback, kFleetDispatchSkips) instead of paying the connect
@@ -89,12 +83,16 @@ struct RemoteFleetOptions {
 
 // Farms shards to the fleet named by config.remote_verifiers, authenticated
 // with config.remote_auth_key_hex. The config must have passed Validate().
+// Shards recovered in process fan across `pool` (not owned; nullptr runs
+// them serially on their lane). Tracing follows the stream (BeginStream):
+// dispatches record "dispatch" spans, span context crosses the wire, and
+// server-recorded spans are adopted back into the stream's collector.
 template <PrimeOrderGroup G>
 class RemoteVerifierFleet final : public ShardExecutor<G> {
  public:
   RemoteVerifierFleet(const ProtocolConfig& config, Pedersen<G> ped,
-                      RemoteFleetOptions options = {})
-      : config_(config), ped_(std::move(ped)), options_(std::move(options)) {
+                      RemoteFleetOptions options = {}, ThreadPool* pool = nullptr)
+      : config_(config), ped_(std::move(ped)), options_(std::move(options)), pool_(pool) {
     for (const std::string& spec : config_.remote_verifiers) {
       auto endpoint = net::ParseEndpoint(spec);
       if (endpoint.has_value()) {  // Validate() guarantees this; belt and braces
@@ -156,7 +154,7 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
       // Retries exhausted (or never possible): verify locally so the shard --
       // and the combined verdict -- is never lost to a dead fleet.
       result = VerifyShard(config_, ped_, shard.data(), shard.count(), shard.base,
-                           shard.shard_index, nullptr, shard.compute_products, this->tracer_,
+                           shard.shard_index, pool_, shard.compute_products, this->tracer_,
                            dispatch_span.context());
       obs::GlobalCounter(obs::kFleetShardsRecovered)->Increment();
       std::lock_guard<std::mutex> lock(report_mutex_);
@@ -177,26 +175,6 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
     RemoteFleetReport out = std::move(report_);
     report_ = RemoteFleetReport{};
     return out;
-  }
-
-  // One-shot verification of an in-memory vector across the remote fleet.
-  // The shard partition honors config.num_verify_shards when set (> 1);
-  // otherwise it defaults to two shards per endpoint so a straggler can be
-  // overlapped. Runs through the same dispatcher/lane machinery as
-  // streaming, viewing the caller's vector (no copies).
-  VerifyReport<G> VerifyAll(const std::vector<ClientUploadMsg<G>>& uploads,
-                            bool compute_products = true,
-                            RemoteFleetReport* report = nullptr) {
-    const size_t shards = config_.num_verify_shards > 1
-                              ? config_.num_verify_shards
-                              : 2 * std::max<size_t>(1, endpoints_.size());
-    VerifyReport<G> combined = DispatchAllShards<G>(config_, this, uploads, shards,
-                                                    compute_products, options_.tracer,
-                                                    options_.trace_parent);
-    if (report != nullptr) {
-      *report = TakeReport();
-    }
-    return combined;
   }
 
  private:
@@ -390,6 +368,7 @@ class RemoteVerifierFleet final : public ShardExecutor<G> {
   ProtocolConfig config_;
   Pedersen<G> ped_;
   RemoteFleetOptions options_;
+  ThreadPool* pool_;
   std::vector<net::Endpoint> endpoints_;
   Bytes auth_key_;
   Bytes setup_payload_;

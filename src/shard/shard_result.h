@@ -32,26 +32,6 @@
 
 namespace vdp {
 
-namespace shard_internal {
-
-// Dispatch policy shared by the one-shot and streaming paths: fan whole
-// shards across the pool only when there are enough of them to occupy every
-// worker; otherwise run them serially and give each shard the full pool
-// internally (same total work, full parallelism either way). verify is
-// called as verify(shard_index, inner_pool).
-template <typename Fn>
-void DispatchShards(size_t n, ThreadPool* pool, const Fn& verify) {
-  if (pool != nullptr && n > 1 && n >= pool->worker_count()) {
-    pool->ParallelFor(n, [&](size_t s) { verify(s, nullptr); });
-  } else {
-    for (size_t s = 0; s < n; ++s) {
-      verify(s, pool);
-    }
-  }
-}
-
-}  // namespace shard_internal
-
 // Outcome of verifying one contiguous shard of the upload stream. Everything
 // downstream (combiner, Eq. 10 check) needs survives here; the uploads
 // themselves can be released once this is produced.
@@ -119,8 +99,9 @@ ShardResult<G> BuildShardResult(const ProtocolConfig& config,
 // across `pool`; the RLC batch check shards its MSM onto `pool` too. Pass
 // pool == nullptr when calling from inside a pool task (ParallelFor does not
 // nest). This is the single implementation of the batched validation
-// algorithm: BatchedBackend (src/verify/batched_backend.h) runs it as one
-// whole-stream shard, so the batched and sharded paths cannot drift apart.
+// algorithm: batch_verify alone runs it as one whole-stream shard of the
+// sharded backend (src/verify/sharded_backend.h), so whole-stream and
+// sharded batching cannot drift apart.
 template <PrimeOrderGroup G>
 ShardResult<G> VerifyShard(const ProtocolConfig& config, const Pedersen<G>& ped,
                            const ClientUploadMsg<G>* uploads, size_t count, size_t base,

@@ -32,6 +32,7 @@
 #ifndef SRC_SHARD_STREAM_DISPATCH_H_
 #define SRC_SHARD_STREAM_DISPATCH_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <deque>
@@ -95,25 +96,25 @@ class ShardExecutor {
   obs::TraceContext verify_ctx_{};
 };
 
+// Lanes for an in-process executor: one per pool worker (one without a
+// pool), capped at max_lanes. A one-shot stream passes its shard count, so no
+// lane idles; when that leaves a single lane, the lane hands the whole pool
+// to the shard it runs (the shape of a whole-stream shard).
+inline size_t InProcessLanes(const ThreadPool* pool, size_t max_lanes) {
+  const size_t workers = pool != nullptr ? std::max<size_t>(1, pool->worker_count()) : 1;
+  return std::max<size_t>(1, std::min(workers, max_lanes));
+}
+
 // The in-process executor: each shard is batch-verified (RLC + MSM, with the
 // per-proof fallback) by VerifyShard. With lanes > 1 each lane runs its
 // shard serially -- cross-shard parallelism comes from the lanes themselves;
-// with a single lane the shard gets the whole pool internally, which is the
-// right shape for whole-stream shards (the per-proof and batched backends'
-// one-shot path).
+// with a single lane the shard gets the whole pool internally.
 template <PrimeOrderGroup G>
 class InProcessShardExecutor final : public ShardExecutor<G> {
  public:
-  // forced_lanes == 0 sizes the lane count to the pool (one lane per pool
-  // worker, or one lane without a pool).
   InProcessShardExecutor(const ProtocolConfig& config, const Pedersen<G>& ped,
-                         ThreadPool* pool, size_t forced_lanes = 0)
-      : config_(config),
-        ped_(ped),
-        pool_(pool),
-        lanes_(forced_lanes > 0 ? forced_lanes
-               : pool != nullptr ? std::max<size_t>(1, pool->worker_count())
-                                 : 1) {}
+                         ThreadPool* pool, size_t max_lanes)
+      : config_(config), ped_(ped), pool_(pool), lanes_(InProcessLanes(pool, max_lanes)) {}
 
   size_t lanes() const override { return lanes_; }
 
@@ -484,11 +485,17 @@ class StreamDispatcher {
   std::atomic<size_t> done_uploads_{0};
 };
 
+// The one-shot shard count for n uploads: num_shards clamped to
+// [1, max(1, n)], so no shard is empty unless the stream is.
+inline size_t ClampShardCount(size_t num_shards, size_t n) {
+  return std::min(std::max<size_t>(1, num_shards), std::max<size_t>(1, n));
+}
+
 // One-shot partitioned verification of an in-memory vector through the same
 // dispatcher/lane machinery as streaming, viewing the caller's memory (no
-// copies). The partition is the historical one -- num_shards contiguous
-// slices of n*s/shards boundaries, clamped to [1, max(1, n)] -- so shard
-// coordinates, and therefore reports, are unchanged from the buffered era.
+// copies). The partition is the historical one -- ClampShardCount(num_shards)
+// contiguous slices at n*s/shards boundaries -- so shard coordinates, and
+// therefore reports, are unchanged from the buffered era.
 // Sets timings.verify_ms (the drive wall) and timings.combine_ms.
 template <PrimeOrderGroup G>
 VerifyReport<G> DispatchAllShards(const ProtocolConfig& config, ShardExecutor<G>* executor,
@@ -498,8 +505,7 @@ VerifyReport<G> DispatchAllShards(const ProtocolConfig& config, ShardExecutor<G>
                                   obs::TraceContext trace_parent = {}) {
   Stopwatch timer;
   const size_t n = uploads.size();
-  size_t shards = std::max<size_t>(1, num_shards);
-  shards = std::min(shards, std::max<size_t>(1, n));
+  const size_t shards = ClampShardCount(num_shards, n);
   StreamDispatchOptions options;
   options.compute_products = compute_products;
   // Bulk input is already resident; a window would only idle lanes.

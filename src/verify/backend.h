@@ -1,10 +1,10 @@
 // VerifyBackend: the one seam through which client-upload verification
 // (Line 3 of Figure 2) executes.
 //
-// The paper's public verifier is a single logical object; this interface
-// keeps it that way in code. Every execution strategy -- per-proof,
-// RLC-batched, in-process sharded, and a remote fleet over sockets --
-// implements the same three-step lifecycle:
+// The paper's public verifier is a single logical object; this class keeps
+// it that way in code. Every execution strategy -- the per-proof oracle,
+// the in-process shard pipeline, and a remote fleet over sockets -- runs the
+// same three-step lifecycle:
 //
 //   backend->Start(options);          // begin a stream
 //   backend->Add(upload);             // ingest uploads (or Submit(vector))
@@ -15,9 +15,32 @@
 // Callers (PublicVerifier, RunProtocol, AuditTranscript) never dispatch on
 // ProtocolConfig flags themselves; MakeVerifyBackend (src/verify/factory.h)
 // owns that policy.
+//
+// Uploads flow through the shard dispatcher (src/shard/stream_dispatch.h)
+// as they are Added, so shards ship to the backend's executor -- pool
+// threads or verify_server daemons -- while ingestion continues, and
+// resident memory is bounded by the dispatcher's in-flight window instead
+// of the stream length. A strategy provides only its executor
+// (MakeExecutor) and its one-shot shard partition (OneShotShardCount); this
+// class owns the lifecycle, the zero-copy one-shot VerifyAll, live Progress,
+// and the canonical stage accounting:
+//
+//   total  = wall time inside Add + wall time inside Finish
+//   ingest = Add wall minus the time Add spent blocked on the window
+//            (backpressure is verify-side congestion, not buffering cost)
+//   verify = backpressure wait + the Finish drain, minus combine
+//   combine = the deterministic merge (set by CombineShardResults)
+//
+// so ingest + verify + combine == total and a saturated pipeline shows up as
+// verify time, exactly where the bottleneck is.
 #ifndef SRC_VERIFY_BACKEND_H_
 #define SRC_VERIFY_BACKEND_H_
 
+#include <algorithm>
+#include <atomic>
+#include <limits>
+#include <memory>
+#include <optional>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -26,6 +49,7 @@
 #include "src/common/timer.h"
 #include "src/core/messages.h"
 #include "src/obs/trace.h"
+#include "src/shard/stream_dispatch.h"
 #include "src/verify/report.h"
 
 namespace vdp {
@@ -35,14 +59,15 @@ struct VerifyOptions {
   // Compute the per-prover/per-bin products of accepted commitments (the
   // client half of Eq. 10). Skip when only decisions are needed.
   bool compute_products = true;
-  // Thread pool for in-process parallelism; nullptr runs serially. Backends
-  // with their own execution resources (a verify_server fleet) may ignore it.
+  // Thread pool for in-process parallelism; nullptr runs serially. A
+  // verify_server fleet verifies remotely and uses the pool only for shards
+  // it recovers in process.
   ThreadPool* pool = nullptr;
-  // Streaming knobs for backends on the shard dispatcher
-  // (src/shard/stream_dispatch.h): uploads per sealed shard, and the bound
-  // on shards cut but not yet retired (Add blocks when it is reached). 0
-  // defers to the ProtocolConfig's stream_* fields, which at 0 defer to the
-  // dispatcher's defaults. Ignored by backends that buffer the whole stream.
+  // Streaming knobs for the shard dispatcher (src/shard/stream_dispatch.h):
+  // uploads per sealed shard, and the bound on shards cut but not yet
+  // retired (Add blocks when it is reached). 0 defers to the
+  // ProtocolConfig's stream_* fields, which at 0 defer to the dispatcher's
+  // defaults. The one-shot VerifyAll ignores both.
   size_t stream_shard_capacity = 0;
   size_t stream_max_inflight_shards = 0;
   // When set, the stream records trace spans (ingest, verify, per-shard
@@ -57,34 +82,48 @@ struct VerifyOptions {
 template <PrimeOrderGroup G>
 class VerifyBackend {
  public:
-  virtual ~VerifyBackend() = default;
+  // The dispatcher's teardown reaches into the executor, and the in-process
+  // executors into config_/ped_, so the stream goes down here, while both
+  // are still alive.
+  virtual ~VerifyBackend() { AbortStream(); }
 
-  // Stable identifier ("per-proof", "batched", "sharded", "remote");
-  // stamped into every report this backend produces.
+  VerifyBackend(const VerifyBackend&) = delete;
+  VerifyBackend& operator=(const VerifyBackend&) = delete;
+
+  // Stable identifier ("per-proof", "sharded", "remote"); stamped into every
+  // report this backend produces.
   virtual std::string_view name() const = 0;
 
-  // Begins a fresh verification stream, discarding any prior state. Must be
-  // called before Add/Submit; a backend is reusable via a new Start after
-  // Finish.
-  virtual void Start(const VerifyOptions& options) = 0;
+  // Begins a fresh verification stream, discarding any prior state. A
+  // backend is reusable via a new Start after Finish; Add or Finish without
+  // Start opens a stream with the previous (initially default) options.
+  void Start(const VerifyOptions& options) {
+    options_ = options;
+    AbortStream();
+  }
 
   // Ingests the next upload of the broadcast stream; global indices are
-  // assigned in arrival order. Backends may verify eagerly (bounded-memory
-  // streaming) or buffer until Finish.
-  virtual void Add(ClientUploadMsg<G> upload) = 0;
-
-  // Verifies everything ingested since Start and returns the combined
-  // report. Resets the stream state.
-  virtual VerifyReport<G> Finish() = 0;
+  // assigned in arrival order. Blocks while the in-flight window is full.
+  void Add(ClientUploadMsg<G> upload) {
+    EnsureStream();
+    TrackFirstAdd();
+    Stopwatch timer;
+    dispatcher_->Add(std::move(upload));
+    add_wall_ms_ += timer.ElapsedMillis();
+  }
 
   // Bulk ingestion that surrenders the buffer: equivalent to Add of each
-  // element in arrival order, but backends may adopt the allocation outright
-  // (no per-upload copies). The vector is left empty.
-  virtual void AddBulk(std::vector<ClientUploadMsg<G>>&& uploads) {
-    for (ClientUploadMsg<G>& upload : uploads) {
-      Add(std::move(upload));
+  // element in arrival order, but the dispatcher may adopt the allocation
+  // outright (no per-upload copies). The vector is left empty.
+  void AddBulk(std::vector<ClientUploadMsg<G>>&& uploads) {
+    if (uploads.empty()) {
+      return;
     }
-    uploads.clear();
+    EnsureStream();
+    TrackFirstAdd();
+    Stopwatch timer;
+    dispatcher_->AddBulk(std::move(uploads));
+    add_wall_ms_ += timer.ElapsedMillis();
   }
 
   // Bulk ingestion; equivalent to Add for each element.
@@ -95,114 +134,144 @@ class VerifyBackend {
   }
 
   // Rvalue fast path: moves the uploads into the stream instead of copying.
-  void Submit(std::vector<ClientUploadMsg<G>>&& uploads) {
-    AddBulk(std::move(uploads));
+  void Submit(std::vector<ClientUploadMsg<G>>&& uploads) { AddBulk(std::move(uploads)); }
+
+  // Verifies everything ingested since Start and returns the combined
+  // report. Resets the stream state.
+  VerifyReport<G> Finish() {
+    EnsureStream();  // Finish-without-Start yields an empty report
+    // Producer time blocked on the window so far is verify-side congestion;
+    // the remainder of the Add wall is the true ingest cost.
+    const double wait_before_ms = dispatcher_->backpressure_wait_ms();
+    const double ingest_ms = std::max(0.0, add_wall_ms_ - wait_before_ms);
+    RecordIngestSpan(ingest_ms);
+    Stopwatch timer;
+    VerifyReport<G> report = dispatcher_->Finish();
+    const double finish_wall_ms = timer.ElapsedMillis();
+    // Sealing the last partial shard inside Finish can block on the window
+    // too; that wait is already inside finish_wall_ms, so only the
+    // pre-Finish wait is added on top of the drain.
+    const double total_wait_ms = dispatcher_->last_backpressure_wait_ms();
+    const double drain_wait_ms = std::max(0.0, total_wait_ms - wait_before_ms);
+    report.backend = name();
+    report.timings.ingest_ms = ingest_ms;
+    report.timings.verify_ms = std::max(
+        0.0, total_wait_ms + finish_wall_ms - drain_wait_ms - report.timings.combine_ms);
+    report.timings.total_ms = add_wall_ms_ + finish_wall_ms;
+    add_wall_ms_ = 0;
+    first_add_us_ = 0;
+    ingested_any_ = false;
+    OnStreamFinished();
+    return report;
   }
 
-  // Point-in-time pipeline state of the current stream. Streaming backends
-  // report live shard/window occupancy; buffered backends report only what
-  // has accumulated. Zeroes outside a stream.
-  virtual VerifyProgress Progress() const { return VerifyProgress{}; }
-
-  // One-shot convenience: Start + Submit + Finish. Backends with a zero-copy
-  // bulk path override this; it must behave exactly like the streaming
-  // lifecycle, including discarding any previously buffered stream (the
-  // conformance suite asserts result identity).
-  virtual VerifyReport<G> VerifyAll(const std::vector<ClientUploadMsg<G>>& uploads,
-                                    const VerifyOptions& options = {}) {
-    Start(options);
-    Submit(uploads);
-    return Finish();
-  }
-};
-
-// Shared lifecycle for backends that buffer the whole stream and verify at
-// Finish (batched -- and any future backend whose unit of work is the full
-// stream). Derived classes
-// implement one hook, Run(uploads), and get a consistent Start/Add/Finish
-// plus a zero-copy VerifyAll for free: the one-shot path verifies the
-// caller's vector directly, with Start clearing any stale buffered stream so
-// one-shot and streaming can never interleave into a phantom report.
-template <PrimeOrderGroup G>
-class BufferedVerifyBackend : public VerifyBackend<G> {
- public:
-  void Start(const VerifyOptions& options) override {
+  // One-shot verification of the caller's vector: contiguous shards viewed
+  // in place (zero-copy) through the same dispatcher machinery, in the
+  // backend's fixed one-shot partition. Like Start, it discards any open
+  // stream and fixes the options a later lazily-opened stream will reuse.
+  VerifyReport<G> VerifyAll(const std::vector<ClientUploadMsg<G>>& uploads,
+                            const VerifyOptions& options = {}) {
     options_ = options;
-    buffer_.clear();
-    ingest_ms_ = 0;
+    AbortStream();
+    Stopwatch timer;
+    const size_t shards = ClampShardCount(OneShotShardCount(uploads.size()), uploads.size());
+    executor_ = MakeExecutor(options_, /*max_lanes=*/shards);
+    VerifyReport<G> report =
+        DispatchAllShards<G>(config_, executor_.get(), uploads, shards,
+                             options_.compute_products, options_.tracer, options_.trace_parent);
+    report.backend = name();
+    report.timings.total_ms = timer.ElapsedMillis();
+    OnStreamFinished();
+    return report;
+  }
+
+  // Point-in-time pipeline state of the current stream: live shard/window
+  // occupancy. Zeroes outside a stream.
+  VerifyProgress Progress() const {
+    // The dispatcher is engaged lazily on the producer thread (EnsureStream),
+    // but Progress is documented any-thread-safe, so observers must not peek
+    // at the optional directly: has_value() and the dispatcher's constructor
+    // writes are unsynchronized with a concurrent emplace. Reading through
+    // the release-published pointer gives the needed happens-before (pinned
+    // by fleet_stress_test's RemoteBackendProgressWhileStreaming, which
+    // fails under TSan on the optional-based read).
+    const StreamDispatcher<G>* live = live_dispatcher_.load(std::memory_order_acquire);
+    return live != nullptr ? live->Progress() : VerifyProgress{};
+  }
+
+ protected:
+  VerifyBackend(const ProtocolConfig& config, Pedersen<G> ped)
+      : config_(config), ped_(std::move(ped)) {}
+
+  // The execution engine shards are handed to. Called once per stream and
+  // once per one-shot VerifyAll; this class owns the result and keeps it
+  // alive until the next stream starts. max_lanes is the one-shot shard
+  // count (unbounded for a stream): in-process executors run
+  // min(pool workers, max_lanes) lanes (InProcessLanes).
+  virtual std::unique_ptr<ShardExecutor<G>> MakeExecutor(const VerifyOptions& options,
+                                                         size_t max_lanes) = 0;
+
+  // The one-shot partition for n uploads, before clamping to [1, max(1,n)].
+  // Fixed per backend so one-shot shard coordinates -- and reports -- are
+  // stable.
+  virtual size_t OneShotShardCount(size_t n) const = 0;
+
+  // Runs after every Finish/VerifyAll; fleet backends harvest their
+  // executor's health report here.
+  virtual void OnStreamFinished() {}
+
+  // Discards any open stream (queued shards dropped, lanes joined) and the
+  // executor.
+  void AbortStream() {
+    if (dispatcher_.has_value()) {
+      // Unpublish before teardown so a stale observer sees "no stream"
+      // rather than a dispatcher mid-destruction. (Teardown itself still
+      // requires observers to have quiesced, same as destruction.)
+      live_dispatcher_.store(nullptr, std::memory_order_release);
+      dispatcher_->Abort();
+      dispatcher_.reset();
+    }
+    executor_.reset();
+    add_wall_ms_ = 0;
     first_add_us_ = 0;
     ingested_any_ = false;
   }
 
-  void Add(ClientUploadMsg<G> upload) override {
-    if (!ingested_any_ && options_.tracer != nullptr) {
-      first_add_us_ = options_.tracer->NowUs();
-    }
-    ingested_any_ = true;
-    Stopwatch timer;
-    buffer_.push_back(std::move(upload));
-    ingest_ms_ += timer.ElapsedMillis();
-  }
-
-  void AddBulk(std::vector<ClientUploadMsg<G>>&& uploads) override {
-    if (uploads.empty()) {
-      return;
-    }
-    if (!ingested_any_ && options_.tracer != nullptr) {
-      first_add_us_ = options_.tracer->NowUs();
-    }
-    ingested_any_ = true;
-    Stopwatch timer;
-    if (buffer_.empty()) {
-      buffer_ = std::move(uploads);  // adopt the caller's allocation outright
-    } else {
-      buffer_.insert(buffer_.end(), std::make_move_iterator(uploads.begin()),
-                     std::make_move_iterator(uploads.end()));
-    }
-    uploads.clear();
-    ingest_ms_ += timer.ElapsedMillis();
-  }
-
-  VerifyProgress Progress() const override {
-    VerifyProgress progress;
-    progress.uploads_ingested = buffer_.size();
-    progress.buffered_uploads = buffer_.size();
-    return progress;
-  }
-
-  VerifyReport<G> Finish() override {
-    RecordIngestSpan();
-    Stopwatch timer;
-    VerifyReport<G> report = Run(buffer_);
-    buffer_.clear();
-    report.timings.ingest_ms = ingest_ms_;
-    report.timings.total_ms = ingest_ms_ + timer.ElapsedMillis();
-    ingest_ms_ = 0;
-    ingested_any_ = false;
-    return report;
-  }
-
-  VerifyReport<G> VerifyAll(const std::vector<ClientUploadMsg<G>>& uploads,
-                            const VerifyOptions& options = {}) override {
-    Start(options);
-    Stopwatch timer;
-    // Zero-copy: the caller's vector is the stream (no ingest stage paid).
-    VerifyReport<G> report = Run(uploads);
-    report.timings.total_ms = timer.ElapsedMillis();
-    return report;
-  }
-
- protected:
-  // Verifies one whole stream under options(). Must not touch the buffer.
-  virtual VerifyReport<G> Run(const std::vector<ClientUploadMsg<G>>& uploads) = 0;
-
-  const VerifyOptions& options() const { return options_; }
+  ProtocolConfig config_;
+  Pedersen<G> ped_;
 
  private:
+  void EnsureStream() {
+    if (dispatcher_.has_value()) {
+      return;
+    }
+    executor_ = MakeExecutor(options_, std::numeric_limits<size_t>::max());
+    StreamDispatchOptions dispatch_options;
+    dispatch_options.shard_capacity = options_.stream_shard_capacity > 0
+                                          ? options_.stream_shard_capacity
+                                          : config_.stream_shard_capacity;
+    dispatch_options.max_inflight_shards = options_.stream_max_inflight_shards > 0
+                                               ? options_.stream_max_inflight_shards
+                                               : config_.stream_max_inflight_shards;
+    dispatch_options.compute_products = options_.compute_products;
+    dispatch_options.tracer = options_.tracer;
+    dispatch_options.trace_parent = options_.trace_parent;
+    dispatcher_.emplace(config_, executor_.get(), dispatch_options);
+    // Publish only after the dispatcher is fully constructed; Progress()
+    // acquires through this pointer instead of touching the optional.
+    live_dispatcher_.store(&*dispatcher_, std::memory_order_release);
+  }
+
+  void TrackFirstAdd() {
+    if (!ingested_any_ && options_.tracer != nullptr) {
+      first_add_us_ = options_.tracer->NowUs();
+    }
+    ingested_any_ = true;
+  }
+
   // The ingest stage as one span: anchored at the first Add, lasting the
-  // accumulated in-backend buffering time (caller time between Adds is the
-  // caller's, not this backend's).
-  void RecordIngestSpan() {
+  // backpressure-corrected buffering time.
+  void RecordIngestSpan(double ingest_ms) {
     if (options_.tracer == nullptr || !ingested_any_) {
       return;
     }
@@ -213,13 +282,21 @@ class BufferedVerifyBackend : public VerifyBackend<G> {
     span.span_id = obs::NextSpanId();
     span.parent_span_id = options_.trace_parent.span_id;
     span.start_us = first_add_us_;
-    span.duration_us = static_cast<uint64_t>(ingest_ms_ * 1000.0);
+    span.duration_us = static_cast<uint64_t>(ingest_ms * 1000.0);
     options_.tracer->Record(std::move(span));
   }
 
   VerifyOptions options_;
-  std::vector<ClientUploadMsg<G>> buffer_;
-  double ingest_ms_ = 0;
+  // Declaration order is load-bearing: the dispatcher must be destroyed (and
+  // its lanes joined) before the executor it points into. AbortStream()
+  // enforces the same order for every teardown.
+  std::unique_ptr<ShardExecutor<G>> executor_;
+  std::optional<StreamDispatcher<G>> dispatcher_;
+  // Cross-thread view of dispatcher_: set (release) after emplace, cleared
+  // before reset, loaded (acquire) by Progress(). Observers only ever reach
+  // the dispatcher through this pointer.
+  std::atomic<StreamDispatcher<G>*> live_dispatcher_{nullptr};
+  double add_wall_ms_ = 0;
   uint64_t first_add_us_ = 0;
   bool ingested_any_ = false;
 };

@@ -14,7 +14,8 @@
 //   verify_workers   > 1  ->  RemoteBackend    (on a private loopback fleet of
 //                                               verify_workers servers)
 //   num_verify_shards > 1 ->  ShardedBackend   (in-process shard pipeline)
-//   batch_verify          ->  BatchedBackend   (one whole-stream RLC batch)
+//   batch_verify          ->  ShardedBackend   (num_verify_shards = 1: one
+//                                               whole-stream RLC batch)
 //   otherwise             ->  PerProofBackend  (the per-proof oracle)
 #ifndef SRC_VERIFY_FACTORY_H_
 #define SRC_VERIFY_FACTORY_H_
@@ -26,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/verify/batched_backend.h"
 #include "src/verify/per_proof_backend.h"
 #include "src/verify/remote_backend.h"
 #include "src/verify/sharded_backend.h"
@@ -35,7 +35,6 @@ namespace vdp {
 
 enum class VerifyBackendKind {
   kPerProof,
-  kBatched,
   kSharded,
   kRemote,
 };
@@ -44,8 +43,6 @@ inline const char* VerifyBackendKindName(VerifyBackendKind kind) {
   switch (kind) {
     case VerifyBackendKind::kPerProof:
       return "per-proof";
-    case VerifyBackendKind::kBatched:
-      return "batched";
     case VerifyBackendKind::kSharded:
       return "sharded";
     case VerifyBackendKind::kRemote:
@@ -58,8 +55,8 @@ inline const char* VerifyBackendKindName(VerifyBackendKind kind) {
 // iterates this list; a new backend joins the registry by being added here
 // and in MakeVerifyBackend's switch.
 inline std::vector<VerifyBackendKind> AllVerifyBackendKinds() {
-  return {VerifyBackendKind::kPerProof, VerifyBackendKind::kBatched,
-          VerifyBackendKind::kSharded, VerifyBackendKind::kRemote};
+  return {VerifyBackendKind::kPerProof, VerifyBackendKind::kSharded,
+          VerifyBackendKind::kRemote};
 }
 
 inline std::optional<VerifyBackendKind> VerifyBackendKindFromName(std::string_view name) {
@@ -76,11 +73,8 @@ inline VerifyBackendKind SelectVerifyBackend(const ProtocolConfig& config) {
   if (!config.remote_verifiers.empty() || config.verify_workers > 1) {
     return VerifyBackendKind::kRemote;
   }
-  if (config.num_verify_shards > 1) {
+  if (config.num_verify_shards > 1 || config.batch_verify) {
     return VerifyBackendKind::kSharded;
-  }
-  if (config.batch_verify) {
-    return VerifyBackendKind::kBatched;
   }
   return VerifyBackendKind::kPerProof;
 }
@@ -97,8 +91,6 @@ std::unique_ptr<VerifyBackend<G>> MakeVerifyBackend(VerifyBackendKind kind,
   switch (kind) {
     case VerifyBackendKind::kPerProof:
       return std::make_unique<PerProofBackend<G>>(config, std::move(ped));
-    case VerifyBackendKind::kBatched:
-      return std::make_unique<BatchedBackend<G>>(config, std::move(ped));
     case VerifyBackendKind::kSharded:
       return std::make_unique<ShardedBackend<G>>(config, std::move(ped));
     case VerifyBackendKind::kRemote:

@@ -2,18 +2,17 @@
 // every upload verified individually (src/core/client.h's
 // ValidateClientUpload), independent uploads fanned across the thread pool.
 //
-// This is the slowest backend and the ground truth: the RLC-batched, sharded,
-// and remote backends all fall back to this per-proof check to attribute
-// blame, which is why their decisions cannot diverge from it.
+// This is the slowest backend and the ground truth: the sharded and remote
+// backends both fall back to this per-proof check to attribute blame, which
+// is why their decisions cannot diverge from it.
 //
 // Streaming runs the same per-proof oracle over dispatcher-cut shards (the
 // verdict is per-upload and carries the global index, so the cut is
-// invisible in the report); the one-shot path keeps the historical single
-// whole-stream shard with the pool fanned across uploads.
+// invisible in the report); the one-shot path is a single whole-stream shard,
+// which the lane rule (InProcessLanes) gives one lane and the whole pool.
 #ifndef SRC_VERIFY_PER_PROOF_BACKEND_H_
 #define SRC_VERIFY_PER_PROOF_BACKEND_H_
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -21,7 +20,7 @@
 
 #include "src/core/client.h"
 #include "src/shard/stream_dispatch.h"
-#include "src/verify/streaming_backend.h"
+#include "src/verify/backend.h"
 
 namespace vdp {
 
@@ -31,17 +30,11 @@ namespace vdp {
 template <PrimeOrderGroup G>
 class PerProofShardExecutor final : public ShardExecutor<G> {
  public:
-  // forced_lanes == 1 gives the single shard the whole pool internally (the
-  // one-shot shape); forced_lanes == 0 sizes lanes to the pool and runs each
-  // shard serially within its lane (the streaming shape).
+  // Same lane rule as InProcessShardExecutor: a single lane fans the pool
+  // across its shard's uploads; several lanes each run their shard serially.
   PerProofShardExecutor(const ProtocolConfig& config, const Pedersen<G>& ped,
-                        ThreadPool* pool, size_t forced_lanes = 0)
-      : config_(config),
-        ped_(ped),
-        pool_(pool),
-        lanes_(forced_lanes > 0 ? forced_lanes
-               : pool != nullptr ? std::max<size_t>(1, pool->worker_count())
-                                 : 1) {}
+                        ThreadPool* pool, size_t max_lanes)
+      : config_(config), ped_(ped), pool_(pool), lanes_(InProcessLanes(pool, max_lanes)) {}
 
   size_t lanes() const override { return lanes_; }
 
@@ -73,30 +66,22 @@ class PerProofShardExecutor final : public ShardExecutor<G> {
 };
 
 template <PrimeOrderGroup G>
-class PerProofBackend final : public StreamingVerifyBackend<G> {
+class PerProofBackend final : public VerifyBackend<G> {
  public:
   PerProofBackend(const ProtocolConfig& config, Pedersen<G> ped)
-      : config_(config), ped_(std::move(ped)) {}
-
-  ~PerProofBackend() override { this->AbortStream(); }
+      : VerifyBackend<G>(config, std::move(ped)) {}
 
   std::string_view name() const override { return "per-proof"; }
 
  protected:
   std::unique_ptr<ShardExecutor<G>> MakeExecutor(const VerifyOptions& options,
-                                                 bool streaming) override {
-    return std::make_unique<PerProofShardExecutor<G>>(config_, ped_, options.pool,
-                                                      streaming ? 0 : 1);
+                                                 size_t max_lanes) override {
+    return std::make_unique<PerProofShardExecutor<G>>(this->config_, this->ped_,
+                                                      options.pool, max_lanes);
   }
 
   // The oracle's one-shot unit of work is the whole stream.
   size_t OneShotShardCount(size_t /*n*/) const override { return 1; }
-
-  const ProtocolConfig& config() const override { return config_; }
-
- private:
-  ProtocolConfig config_;
-  Pedersen<G> ped_;
 };
 
 }  // namespace vdp

@@ -26,22 +26,24 @@
 
 #include "src/net/remote_fleet.h"
 #include "src/net/server_process.h"
-#include "src/verify/streaming_backend.h"
+#include "src/verify/backend.h"
 
 namespace vdp {
 
 template <PrimeOrderGroup G>
-class RemoteBackend final : public StreamingVerifyBackend<G> {
+class RemoteBackend final : public VerifyBackend<G> {
  public:
   RemoteBackend(const ProtocolConfig& config, Pedersen<G> ped,
                 RemoteFleetOptions options = {})
-      : config_(config), ped_(std::move(ped)), fleet_options_(std::move(options)) {
-    if (config_.remote_verifiers.empty() && config_.verify_workers > 1) {
-      loopback_ = std::make_unique<net::LoopbackFleet>(config_.verify_workers);
-      loopback_->ApplyTo(&config_);
+      : VerifyBackend<G>(config, std::move(ped)), fleet_options_(std::move(options)) {
+    if (this->config_.remote_verifiers.empty() && this->config_.verify_workers > 1) {
+      loopback_ = std::make_unique<net::LoopbackFleet>(this->config_.verify_workers);
+      loopback_->ApplyTo(&this->config_);
     }
   }
 
+  // An open stream's lanes may still be talking to the loopback servers:
+  // tear it down before they go.
   ~RemoteBackend() override { this->AbortStream(); }
 
   std::string_view name() const override { return "remote"; }
@@ -51,20 +53,23 @@ class RemoteBackend final : public StreamingVerifyBackend<G> {
   const RemoteFleetReport& last_fleet_report() const { return last_fleet_report_; }
 
  protected:
-  std::unique_ptr<ShardExecutor<G>> MakeExecutor(const VerifyOptions& /*options*/,
-                                                 bool /*streaming*/) override {
-    auto fleet = std::make_unique<RemoteVerifierFleet<G>>(config_, ped_, fleet_options_);
+  // The pool goes to the fleet's in-process fallback: shards it recovers
+  // run on the caller's pool rather than serially on their lane.
+  std::unique_ptr<ShardExecutor<G>> MakeExecutor(const VerifyOptions& options,
+                                                 size_t /*max_lanes*/) override {
+    auto fleet = std::make_unique<RemoteVerifierFleet<G>>(this->config_, this->ped_,
+                                                          fleet_options_, options.pool);
     fleet_ = fleet.get();
     return fleet;
   }
 
+  // num_verify_shards when set, else two shards per endpoint so a straggler
+  // can be overlapped.
   size_t OneShotShardCount(size_t /*n*/) const override {
-    return config_.num_verify_shards > 1
-               ? config_.num_verify_shards
-               : 2 * std::max<size_t>(1, config_.remote_verifiers.size());
+    return this->config_.num_verify_shards > 1
+               ? this->config_.num_verify_shards
+               : 2 * std::max<size_t>(1, this->config_.remote_verifiers.size());
   }
-
-  const ProtocolConfig& config() const override { return config_; }
 
   void OnStreamFinished() override {
     if (fleet_ != nullptr) {
@@ -74,8 +79,6 @@ class RemoteBackend final : public StreamingVerifyBackend<G> {
 
  private:
   std::unique_ptr<net::LoopbackFleet> loopback_;  // the verify_workers fleet, if any
-  ProtocolConfig config_;
-  Pedersen<G> ped_;
   RemoteFleetOptions fleet_options_;
   RemoteVerifierFleet<G>* fleet_ = nullptr;  // owned by the base as the executor
   RemoteFleetReport last_fleet_report_;

@@ -3,7 +3,7 @@
 //
 // The paper's public verifier is a single logical object -- anyone can rerun
 // Line 3 of Figure 2 from the broadcast transcript -- so no matter which
-// execution strategy performed the checks (per-proof, RLC-batched, sharded,
+// execution strategy performed the checks (per-proof, sharded RLC batches,
 // or a remote fleet), the *outcome* must be expressible
 // in one shape: which uploads were accepted, why each rejected upload was
 // rejected (typed, not a formatted string), and the per-prover/per-bin
@@ -122,8 +122,7 @@ struct VerifyTimings {
 // that want to watch a long ingest (progress bars, soak harnesses, the
 // run-log). All counters are monotone within one stream except
 // inflight_shards/buffered_uploads, which rise and fall with the
-// backpressure window. Buffered backends report only what they have
-// ingested; streaming backends report real pipeline state.
+// backpressure window.
 struct VerifyProgress {
   size_t uploads_ingested = 0;   // Add/Submit calls so far
   size_t shards_cut = 0;         // contiguous shards sealed from the stream

@@ -4,46 +4,39 @@
 // merged by the deterministic combiner.
 //
 // Streaming Add keeps memory bounded: full shards leave for pool lanes as
-// soon as they are cut, and Add blocks at the in-flight window. The bulk
-// path partitions the caller's vector in place with no copies.
+// soon as they are cut, and Add blocks at the in-flight window. The one-shot
+// path partitions the caller's vector in place into num_verify_shards shards
+// with no copies; at one shard (batch_verify alone) that is a single
+// whole-stream RLC batch with the whole pool inside it.
 #ifndef SRC_VERIFY_SHARDED_BACKEND_H_
 #define SRC_VERIFY_SHARDED_BACKEND_H_
 
 #include <memory>
-#include <string>
 #include <utility>
-#include <vector>
 
 #include "src/shard/stream_dispatch.h"
-#include "src/verify/streaming_backend.h"
+#include "src/verify/backend.h"
 
 namespace vdp {
 
 template <PrimeOrderGroup G>
-class ShardedBackend final : public StreamingVerifyBackend<G> {
+class ShardedBackend final : public VerifyBackend<G> {
  public:
   ShardedBackend(const ProtocolConfig& config, Pedersen<G> ped)
-      : config_(config), ped_(std::move(ped)) {}
-
-  ~ShardedBackend() override { this->AbortStream(); }
+      : VerifyBackend<G>(config, std::move(ped)) {}
 
   std::string_view name() const override { return "sharded"; }
 
  protected:
   std::unique_ptr<ShardExecutor<G>> MakeExecutor(const VerifyOptions& options,
-                                                 bool /*streaming*/) override {
-    return std::make_unique<InProcessShardExecutor<G>>(config_, ped_, options.pool);
+                                                 size_t max_lanes) override {
+    return std::make_unique<InProcessShardExecutor<G>>(this->config_, this->ped_,
+                                                       options.pool, max_lanes);
   }
 
   size_t OneShotShardCount(size_t /*n*/) const override {
-    return config_.num_verify_shards;
+    return this->config_.num_verify_shards;
   }
-
-  const ProtocolConfig& config() const override { return config_; }
-
- private:
-  ProtocolConfig config_;
-  Pedersen<G> ped_;
 };
 
 }  // namespace vdp

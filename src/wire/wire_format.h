@@ -1,6 +1,6 @@
 // Versioned binary wire format for multi-process shard verification.
 //
-// The sharded pipeline (src/shard/sharded_verifier.h) reduced each shard of
+// The sharded pipeline (src/shard/shard_result.h) reduces each shard of
 // the upload stream to a compact, self-contained ShardResult. This module
 // takes that value across the process boundary: a driver serializes shard
 // *tasks* (params digest, shard range, uploads), worker processes return
@@ -196,7 +196,7 @@ struct WireShardTask {
   bool operator==(const WireShardTask&) const = default;
 };
 
-// The wire form of ShardResult<G> (src/shard/sharded_verifier.h).
+// The wire form of ShardResult<G> (src/shard/shard_result.h).
 //
 // Decoding enforces the combiner's invariants: accepted and rejection
 // indices strictly ascending, every index within [base, base + count), and

@@ -10,9 +10,9 @@
 
 #include "src/core/verifier.h"
 #include "src/net/auth.h"
-#include "src/net/remote_fleet.h"
 #include "src/net/server_process.h"
 #include "src/obs/metrics.h"
+#include "src/verify/remote_backend.h"
 
 namespace vdp {
 namespace {
@@ -39,6 +39,13 @@ std::vector<ClientUploadMsg<G>> Corpus(const ProtocolConfig& config,
             .upload);
   }
   return uploads;
+}
+
+// These tests read counters and decisions only.
+VerifyOptions DecisionsOnly() {
+  VerifyOptions options;
+  options.compute_products = false;
+  return options;
 }
 
 RemoteFleetOptions FastOptions() {
@@ -70,9 +77,9 @@ TEST_F(FleetMetricsTest, HealthyRunCountsConnectionsAndRemoteShards) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/false, &report);
+  RemoteBackend<G> verifier(config, ped_, FastOptions());
+  auto verdict = verifier.VerifyAll(uploads, DecisionsOnly());
+  const RemoteFleetReport& report = verifier.last_fleet_report();
   EXPECT_EQ(verdict.accepted.size(), uploads.size());
 
   EXPECT_GE(Count(obs::kFleetConnections), 1u);
@@ -97,9 +104,9 @@ TEST_F(FleetMetricsTest, WrongShardResultsAreRetriedAndBlamed) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/false, &report);
+  RemoteBackend<G> verifier(config, ped_, FastOptions());
+  auto verdict = verifier.VerifyAll(uploads, DecisionsOnly());
+  const RemoteFleetReport& report = verifier.last_fleet_report();
   EXPECT_EQ(verdict.accepted.size(), uploads.size());
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
 
@@ -119,9 +126,9 @@ TEST_F(FleetMetricsTest, DroppedConnectionsCountReconnects) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/false, &report);
+  RemoteBackend<G> verifier(config, ped_, FastOptions());
+  auto verdict = verifier.VerifyAll(uploads, DecisionsOnly());
+  const RemoteFleetReport& report = verifier.last_fleet_report();
   EXPECT_EQ(verdict.accepted.size(), uploads.size());
 
   EXPECT_GE(Count(obs::kFleetReconnects), 1u);
@@ -142,9 +149,9 @@ TEST_F(FleetMetricsTest, GarbageResultsCountAuthFailures) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/false, &report);
+  RemoteBackend<G> verifier(config, ped_, FastOptions());
+  auto verdict = verifier.VerifyAll(uploads, DecisionsOnly());
+  const RemoteFleetReport& report = verifier.last_fleet_report();
   EXPECT_EQ(verdict.accepted.size(), uploads.size());
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
 

@@ -8,9 +8,9 @@
 #include <signal.h>
 
 #include "src/core/verifier.h"
-#include "src/net/remote_fleet.h"
 #include "src/net/server_process.h"
 #include "src/verify/factory.h"
+#include "src/verify/remote_backend.h"
 
 namespace vdp {
 namespace {
@@ -93,9 +93,9 @@ TEST_F(RemoteFleetTest, LoopbackFleetMatchesOracle) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  RemoteBackend<G> verifier(config, ped_, FastOptions());
+  auto verdict = verifier.VerifyAll(uploads);
+  const RemoteFleetReport& report = verifier.last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_total, 4u);
@@ -121,9 +121,9 @@ TEST_F(RemoteFleetTest, UnixSocketEndpointWorks) {
   config.remote_auth_key_hex = fleet.key_hex();
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  RemoteBackend<G> verifier(config, ped_, FastOptions());
+  auto verdict = verifier.VerifyAll(uploads);
+  const RemoteFleetReport& report = verifier.last_fleet_report();
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_from_remote, report.shards_total);
   EXPECT_TRUE(report.failures.empty())
@@ -140,9 +140,9 @@ TEST_F(RemoteFleetTest, DeadEndpointRecoversInProcess) {
 
   RemoteFleetOptions options = FastOptions();
   options.connect_timeout_ms = 1'000;
-  RemoteVerifierFleet<G> verifier(config, ped_, options);
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  RemoteBackend<G> verifier(config, ped_, options);
+  auto verdict = verifier.VerifyAll(uploads);
+  const RemoteFleetReport& report = verifier.last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -159,9 +159,9 @@ TEST_F(RemoteFleetTest, WrongFleetSecretIsBlamedAndRecovered) {
   config.remote_auth_key_hex = std::string(64, 'f');
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  RemoteBackend<G> verifier(config, ped_, FastOptions());
+  auto verdict = verifier.VerifyAll(uploads);
+  const RemoteFleetReport& report = verifier.last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -179,9 +179,9 @@ TEST_F(RemoteFleetTest, StaleSetupDigestIsRejected) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  RemoteBackend<G> verifier(config, ped_, FastOptions());
+  auto verdict = verifier.VerifyAll(uploads);
+  const RemoteFleetReport& report = verifier.last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -199,9 +199,9 @@ TEST_F(RemoteFleetTest, ConnectionDroppedMidShardIsRetriedElsewhere) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  RemoteBackend<G> verifier(config, ped_, FastOptions());
+  auto verdict = verifier.VerifyAll(uploads);
+  const RemoteFleetReport& report = verifier.last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_from_remote + report.shards_recovered_in_process,
@@ -227,9 +227,9 @@ TEST_F(RemoteFleetTest, HungServerTimesOutAndRecovers) {
   RemoteFleetOptions options = FastOptions();
   options.shard_timeout_ms = 300;
   options.max_attempts_per_shard = 1;
-  RemoteVerifierFleet<G> verifier(config, ped_, options);
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  RemoteBackend<G> verifier(config, ped_, options);
+  auto verdict = verifier.VerifyAll(uploads);
+  const RemoteFleetReport& report = verifier.last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -248,9 +248,9 @@ TEST_F(RemoteFleetTest, WrongShardResultIsRejected) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  RemoteBackend<G> verifier(config, ped_, FastOptions());
+  auto verdict = verifier.VerifyAll(uploads);
+  const RemoteFleetReport& report = verifier.last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -266,9 +266,9 @@ TEST_F(RemoteFleetTest, GarbageResultFailsAuthentication) {
   fleet.ApplyTo(&config);
   auto uploads = Corpus(config, ped_);
 
-  RemoteVerifierFleet<G> verifier(config, ped_, FastOptions());
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  RemoteBackend<G> verifier(config, ped_, FastOptions());
+  auto verdict = verifier.VerifyAll(uploads);
+  const RemoteFleetReport& report = verifier.last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_recovered_in_process, report.shards_total);
@@ -291,9 +291,9 @@ TEST_F(RemoteFleetTest, KilledServerRecoversOnSurvivors) {
 
   RemoteFleetOptions options = FastOptions();
   options.connect_timeout_ms = 1'000;
-  RemoteVerifierFleet<G> verifier(config, ped_, options);
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  RemoteBackend<G> verifier(config, ped_, options);
+  auto verdict = verifier.VerifyAll(uploads);
+  const RemoteFleetReport& report = verifier.last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_EQ(report.shards_from_remote + report.shards_recovered_in_process,
@@ -327,9 +327,9 @@ TEST_F(RemoteFleetTest, DeadEndpointsAreSkippedAtDispatchVerdictUnchanged) {
   options.health = &health;
   const uint64_t skips_before =
       obs::GlobalCounter(obs::kFleetDispatchSkips)->value();
-  RemoteVerifierFleet<G> verifier(config, ped_, options);
-  RemoteFleetReport report;
-  auto verdict = verifier.VerifyAll(uploads, /*compute_products=*/true, &report);
+  RemoteBackend<G> verifier(config, ped_, options);
+  auto verdict = verifier.VerifyAll(uploads);
+  const RemoteFleetReport& report = verifier.last_fleet_report();
 
   ExpectMatchesOracle(config, verdict, uploads);
   EXPECT_GT(obs::GlobalCounter(obs::kFleetDispatchSkips)->value(), skips_before);
@@ -386,7 +386,8 @@ class ScopedServerPath {
 TEST_F(RemoteFleetTest, MissingServerBinaryRecoversInProcess) {
   // The verify_workers fleet cannot start at all: the backend is left with
   // no endpoints, and every shard must take the counted in-process fallback
-  // with the verdict unchanged.
+  // with the verdict unchanged -- serially without a pool, and with the
+  // recovered shards fanned across the caller's pool when it passes one.
   ProtocolConfig config = BaseConfig();
   config.verify_workers = 3;
   auto uploads = Corpus(config, ped_);
@@ -398,18 +399,24 @@ TEST_F(RemoteFleetTest, MissingServerBinaryRecoversInProcess) {
   }
   auto* remote = dynamic_cast<RemoteBackend<G>*>(backend.get());
   ASSERT_NE(remote, nullptr);
-  const uint64_t recovered_before =
-      obs::GlobalCounter(obs::kFleetShardsRecovered)->value();
-  auto report = backend->VerifyAll(uploads);
+  ThreadPool pool(3);
+  for (ThreadPool* recovery_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(recovery_pool != nullptr ? "with pool" : "without pool");
+    VerifyOptions options;
+    options.pool = recovery_pool;
+    const uint64_t recovered_before =
+        obs::GlobalCounter(obs::kFleetShardsRecovered)->value();
+    auto report = backend->VerifyAll(uploads, options);
 
-  ExpectMatchesOracle(config, report, uploads);
-  EXPECT_EQ(report.RenderedReasons(), Oracle(config, uploads).RenderedReasons());
-  const RemoteFleetReport& fleet = remote->last_fleet_report();
-  EXPECT_GT(fleet.shards_total, 0u);
-  EXPECT_EQ(fleet.shards_from_remote, 0u);
-  EXPECT_EQ(fleet.shards_recovered_in_process, fleet.shards_total);
-  EXPECT_EQ(obs::GlobalCounter(obs::kFleetShardsRecovered)->value() - recovered_before,
-            fleet.shards_total);
+    ExpectMatchesOracle(config, report, uploads);
+    EXPECT_EQ(report.RenderedReasons(), Oracle(config, uploads).RenderedReasons());
+    const RemoteFleetReport& fleet = remote->last_fleet_report();
+    EXPECT_GT(fleet.shards_total, 0u);
+    EXPECT_EQ(fleet.shards_from_remote, 0u);
+    EXPECT_EQ(fleet.shards_recovered_in_process, fleet.shards_total);
+    EXPECT_EQ(obs::GlobalCounter(obs::kFleetShardsRecovered)->value() - recovered_before,
+              fleet.shards_total);
+  }
 }
 
 TEST_F(RemoteFleetTest, ValidateRejectsBadRemoteConfigs) {

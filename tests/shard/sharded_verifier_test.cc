@@ -61,6 +61,19 @@ std::vector<std::vector<Element>> DirectProducts(const ProtocolConfig& config,
   return products;
 }
 
+// Bit-for-bit agreement of two reports: decisions, typed and rendered
+// reasons, and the Eq. 10 commitment products.
+void ExpectSameVerdict(const VerifyReport<G>& expected, const VerifyReport<G>& actual) {
+  EXPECT_EQ(expected.accepted, actual.accepted);
+  EXPECT_EQ(expected.rejections, actual.rejections);
+  EXPECT_EQ(expected.RenderedReasons(), actual.RenderedReasons());
+  EXPECT_EQ(expected.total_uploads, actual.total_uploads);
+  ASSERT_EQ(expected.commitment_products.size(), actual.commitment_products.size());
+  for (size_t k = 0; k < expected.commitment_products.size(); ++k) {
+    EXPECT_EQ(expected.commitment_products[k], actual.commitment_products[k]) << "k=" << k;
+  }
+}
+
 // The headline equivalence test: >= 4096 uploads, a few corrupted, verified
 // monolithically (batched and per-proof) and sharded -- all three must
 // produce the same accepted set, and the sharded commitment products must
@@ -195,6 +208,50 @@ TEST(ShardedVerifierTest, StreamingMatchesOneShot) {
   auto second = streaming->Finish();
   EXPECT_EQ(second.accepted, (std::vector<size_t>{0}));
   EXPECT_EQ(second.total_uploads, 1u);
+}
+
+// batch_verify alone selects the sharded backend at one one-shot shard: the
+// whole stream as a single RLC batch, with the pool (when given) inside the
+// shard, while streaming still cuts at stream_shard_capacity. Both must match
+// the per-proof oracle bit-for-bit on an adversarial corpus.
+TEST(ShardedVerifierTest, BatchVerifyAloneIsOneWholeStreamShard) {
+  SecureRng rng("shard-batch-only");
+  auto config = ShardConfig(2, 3, 1, "shard-batch-only");
+  ASSERT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kSharded);
+  Pedersen<G> ped;
+  auto uploads = MakeUploads(config, ped, 40, rng);
+  uploads[3].bin_proofs[0].z0 += S::One();   // invalid OR proof
+  uploads[9].commitments.clear();            // malformed shape
+  uploads[14].bin_proofs[1].e1 += S::One();  // tampered sub-challenge
+  uploads[33].sum_randomness += S::One();    // breaks the one-hot opening
+
+  auto oracle_config = config;
+  oracle_config.batch_verify = false;
+  ASSERT_EQ(SelectVerifyBackend(oracle_config), VerifyBackendKind::kPerProof);
+  auto oracle = MakeVerifyBackend<G>(oracle_config, ped)->VerifyAll(uploads);
+  ASSERT_EQ(oracle.rejections.size(), 4u);
+
+  ThreadPool pool(4);
+  for (ThreadPool* verify_pool : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    SCOPED_TRACE(verify_pool != nullptr ? "pool of 4" : "no pool");
+    VerifyOptions options;
+    options.pool = verify_pool;
+    options.stream_shard_capacity = 8;
+    auto backend = MakeVerifyBackend<G>(config, ped);
+    EXPECT_EQ(backend->name(), "sharded");
+
+    auto oneshot = backend->VerifyAll(uploads, options);
+    EXPECT_EQ(oneshot.backend, "sharded");
+    EXPECT_EQ(oneshot.num_shards, 1u);
+    EXPECT_EQ(oneshot.shards_with_fallback, 1u);
+    ExpectSameVerdict(oracle, oneshot);
+
+    backend->Start(options);
+    backend->Submit(uploads);
+    auto streamed = backend->Finish();
+    EXPECT_EQ(streamed.num_shards, 5u);  // ceil(40 / 8)
+    ExpectSameVerdict(oracle, streamed);
+  }
 }
 
 TEST(ShardedVerifierTest, EdgeShapes) {

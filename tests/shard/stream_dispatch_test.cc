@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "src/shard/stream_dispatch.h"
@@ -190,6 +191,23 @@ TEST(StreamDispatchTest, AbortDiscardsStreamAndDispatcherIsReusable) {
   VerifyReport<G> report = dispatcher.Finish();
   EXPECT_EQ(report.num_shards, 3u);
   ExpectFakeVerdict(report, 6);
+}
+
+// The lane rule of both in-process executors: one lane per pool worker,
+// capped at the one-shot shard count, never zero.
+TEST(StreamDispatchTest, InProcessLanesCapPoolWorkersAtShardCount) {
+  ThreadPool pool(4);
+  const size_t unbounded = std::numeric_limits<size_t>::max();
+  EXPECT_EQ(InProcessLanes(&pool, unbounded), 4u);  // a stream
+  EXPECT_EQ(InProcessLanes(&pool, 8), 4u);
+  EXPECT_EQ(InProcessLanes(&pool, 2), 2u);
+  EXPECT_EQ(InProcessLanes(&pool, 1), 1u);  // whole-stream shard: pool inside
+  EXPECT_EQ(InProcessLanes(&pool, 0), 1u);
+  EXPECT_EQ(InProcessLanes(nullptr, unbounded), 1u);
+  EXPECT_EQ(InProcessLanes(nullptr, 8), 1u);
+  EXPECT_EQ(ClampShardCount(8, 3), 3u);
+  EXPECT_EQ(ClampShardCount(0, 10), 1u);
+  EXPECT_EQ(ClampShardCount(4, 0), 1u);
 }
 
 TEST(StreamDispatchTest, OneShotPartitionUsesHistoricalBoundaries) {

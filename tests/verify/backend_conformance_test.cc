@@ -67,9 +67,6 @@ struct Suite {
     switch (kind) {
       case VerifyBackendKind::kPerProof:
         break;
-      case VerifyBackendKind::kBatched:
-        config.batch_verify = true;
-        break;
       case VerifyBackendKind::kSharded:
         config.num_verify_shards = 5;
         break;
@@ -545,20 +542,21 @@ TEST(RemoteFailureConformanceTest, RecoveryAfterKilledServer) {
   });
 }
 
-// Factory policy: group-independent, pinned on the default group. The flag
-// combinations of PRs 1-3 keep selecting the same execution strategies, now
-// through one function.
+// Factory policy: group-independent, pinned on the default group. Every
+// legacy flag combination maps to one of the three strategies through one
+// function.
 TEST(BackendFactoryTest, SelectionPolicyMatchesLegacyFlags) {
   ProtocolConfig config;
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kPerProof);
+  // batch_verify alone is the sharded backend at one one-shot shard.
   config.batch_verify = true;
-  EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kBatched);
+  EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kSharded);
   config.num_verify_shards = 4;
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kSharded);
   config.verify_workers = 3;
   EXPECT_EQ(SelectVerifyBackend(config), VerifyBackendKind::kRemote);
 
-  // Sharding wins over batch_verify alone; workers (the remote backend on a
+  // Sharding needs no batch_verify; workers (the remote backend on a
   // private loopback fleet) win over both, as does a provisioned remote
   // fleet.
   ProtocolConfig sharded_only;

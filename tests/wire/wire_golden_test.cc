@@ -10,7 +10,8 @@
 // set touching src/wire/wire_format.* must touch this file too, so encoding
 // drift is always acknowledged next to the bytes it freezes. (PR 9's edits
 // to wire_format.cc were decode-internal -- zero-initialized scratch arrays
-// -- and every golden vector below is unchanged.)
+// -- and every golden vector below is unchanged. Repointing two stale
+// header references in wire_format.h's comments changed no bytes either.)
 #include <gtest/gtest.h>
 
 #include "src/common/hex.h"

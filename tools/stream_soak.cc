@@ -157,9 +157,6 @@ int main(int argc, char** argv) {
   switch (*kind) {
     case vdp::VerifyBackendKind::kPerProof:
       break;
-    case vdp::VerifyBackendKind::kBatched:
-      config.batch_verify = true;
-      break;
     case vdp::VerifyBackendKind::kSharded:
       config.num_verify_shards = 8;
       break;
