@@ -6,6 +6,8 @@
 #ifndef SRC_CORE_VERIFIER_H_
 #define SRC_CORE_VERIFIER_H_
 
+#include <memory>
+#include <mutex>
 #include <vector>
 
 #include "src/batch/batch_or_proof.h"
@@ -29,7 +31,10 @@ class PublicVerifier {
 
   // Line 3: public client validation, executed by whichever VerifyBackend
   // the config's flags select (src/verify/factory.h owns that policy; all
-  // backends are decision-identical). Returns the full structured report:
+  // backends are decision-identical). The backend is built on the first
+  // call and reused by later ones, so a verify_workers fleet is spawned once
+  // per verifier, not once per call; calls are serialized on it. Returns the
+  // full structured report:
   // accepted indices, typed rejection reasons, and -- unless
   // compute_products is false -- the per-prover/per-bin products of accepted
   // commitments that CheckFinalWithProducts consumes, so the Eq. 10 product
@@ -40,7 +45,11 @@ class PublicVerifier {
     VerifyOptions options;
     options.compute_products = compute_products;
     options.pool = pool;
-    return MakeVerifyBackend<G>(config_, ped_)->VerifyAll(uploads, options);
+    std::lock_guard<std::mutex> lock(backend_mu_);
+    if (backend_ == nullptr) {
+      backend_ = MakeVerifyBackend<G>(config_, ped_);
+    }
+    return backend_->VerifyAll(uploads, options);
   }
 
   // Line 3, accepted indices only. Rendered rejection reasons (the canonical
@@ -170,6 +179,8 @@ class PublicVerifier {
 
   ProtocolConfig config_;
   Pedersen<G> ped_;
+  mutable std::mutex backend_mu_;
+  mutable std::unique_ptr<VerifyBackend<G>> backend_;  // guarded by backend_mu_
 };
 
 }  // namespace vdp

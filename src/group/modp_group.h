@@ -4,7 +4,10 @@
 //
 // Elements are stored in plain (non-Montgomery) representation and always
 // satisfy 1 <= e < p with e^q = 1. Decode() enforces subgroup membership, so
-// adversarial wire input cannot smuggle in elements of order 2 or 2q.
+// adversarial wire input cannot smuggle in elements of order 2 or 2q. Because
+// p is a safe prime, the order-q subgroup is exactly the set of quadratic
+// residues, so membership is the Legendre symbol (e | p) = 1 -- an exact
+// test, not a probabilistic one, and far cheaper than e^q.
 #ifndef SRC_GROUP_MODP_GROUP_H_
 #define SRC_GROUP_MODP_GROUP_H_
 
@@ -14,6 +17,7 @@
 #include "src/common/sha256.h"
 #include "src/group/modp_params.h"
 #include "src/group/scalar_field.h"
+#include "src/math/jacobi.h"
 
 namespace vdp {
 
@@ -91,22 +95,34 @@ class ModPGroup {
 
   // Strict decode: correct width, in range (0, p), and in the order-q subgroup.
   static std::optional<Element> Decode(BytesView bytes) {
-    if (bytes.size() != kElementSize) {
-      return std::nullopt;
-    }
-    auto v = BigInt<L>::FromBytesBe(bytes);
-    if (!v.has_value() || v->IsZero() || *v >= Params().p) {
-      return std::nullopt;
-    }
-    Element e(*v);
-    if (!InSubgroup(e)) {
+    std::optional<Element> e = DecodeInRange(bytes);
+    if (!e.has_value() || !InSubgroup(*e)) {
       return std::nullopt;
     }
     return e;
   }
 
-  // Membership test: e^q == 1 (q is the subgroup order).
-  static bool InSubgroup(const Element& e) {
+  // Decode with the definitional InSubgroupByExponent check: the oracle the
+  // Legendre-symbol Decode is differentially tested against.
+  static std::optional<Element> DecodeByExponent(BytesView bytes) {
+    std::optional<Element> e = DecodeInRange(bytes);
+    if (!e.has_value() || !InSubgroupByExponent(*e)) {
+      return std::nullopt;
+    }
+    return e;
+  }
+
+  // Membership test: the Legendre symbol (e | p) == 1. For a safe prime
+  // p = 2q + 1, Z_p* is cyclic of order 2q and its order-q subgroup is the
+  // set of quadratic residues, so this equals e^q == 1 on every 1 <= e < p
+  // (the safe-prime precondition is pinned by
+  // ModPParamsTest.AllParameterSetsAreSafePrimes). Variable time, which is
+  // fine: Decode calls it on public wire bytes.
+  static bool InSubgroup(const Element& e) { return Jacobi(e.v_, Params().p) == 1; }
+
+  // The definitional test e^q == 1, one full exponentiation. Kept as the
+  // oracle InSubgroup is differentially tested against.
+  static bool InSubgroupByExponent(const Element& e) {
     return PCtx().template ExpMod<L>(e.v_, Params().q) == BigInt<L>::One();
   }
 
@@ -144,6 +160,18 @@ class ModPGroup {
   }
 
  private:
+  // Width and range checks only: 0 < v < p, membership not yet tested.
+  static std::optional<Element> DecodeInRange(BytesView bytes) {
+    if (bytes.size() != kElementSize) {
+      return std::nullopt;
+    }
+    auto v = BigInt<L>::FromBytesBe(bytes);
+    if (!v.has_value() || v->IsZero() || *v >= Params().p) {
+      return std::nullopt;
+    }
+    return Element(*v);
+  }
+
   static const MontgomeryCtx<L>& PCtx() {
     static const MontgomeryCtx<L> ctx(Params().p);
     return ctx;

@@ -22,7 +22,8 @@
 //     threads in process, one verify_server connection per lane
 //     (src/net/remote_fleet.h) -- and every
 //     ExecuteShard(lane, ...) call for a lane happens on the same dispatcher
-//     thread, so executors keep per-lane state without locking.
+//     thread, so executors keep per-lane state without locking. Lane i's
+//     first shard is shard i; after that, any free lane takes the next.
 //   - Deterministic combine: results are merged with CombineShardResults,
 //     which orders by shard_index; completion order never shows.
 //
@@ -325,6 +326,7 @@ class StreamDispatcher {
     verify_span_.emplace(options_.tracer, kStageVerify, options_.trace_parent);
     executor_->BeginStream(options_.tracer, verify_span_->context());
     const size_t n = std::max<size_t>(1, executor_->lanes());
+    lane_count_ = n;
     threads_.reserve(n);
     for (size_t i = 0; i < n; ++i) {
       threads_.emplace_back([this, i] { LaneLoop(i); });
@@ -350,6 +352,7 @@ class StreamDispatcher {
   // is full. The wait is the backpressure signal: it is both histogrammed
   // and folded out of the caller-visible ingest stage time.
   void Enqueue(ShardPayload<G> shard) {
+    const bool reserved = shard.shard_index < lane_count_;
     {
       std::unique_lock<std::mutex> lock(mu_);
       if (inflight_ >= options_.max_inflight_shards && !closed_) {
@@ -371,7 +374,23 @@ class StreamDispatcher {
       obs::GlobalGauge(obs::kShardQueueDepth)->Set(static_cast<int64_t>(queue_.size()));
       UpdateBufferedGauge();
     }
-    lane_cv_.notify_one();
+    // A reserved shard must wake its own lane, which notify_one might miss.
+    if (reserved) {
+      lane_cv_.notify_all();
+    } else {
+      lane_cv_.notify_one();
+    }
+  }
+
+  // The first queued shard `lane` may take (queue_.end() if none). Shard i
+  // < lane_count_ is reserved for lane i, so in a stream of at least as many
+  // shards as lanes every lane serves one: a fleet lane whose endpoint is
+  // dead cannot drain the stream in process before a live lane has
+  // connected. Later shards go to whichever lane is free. Requires mu_.
+  typename std::deque<ShardPayload<G>>::iterator NextShardFor(size_t lane) {
+    return std::find_if(queue_.begin(), queue_.end(), [&](const ShardPayload<G>& s) {
+      return s.shard_index >= lane_count_ || s.shard_index == lane;
+    });
   }
 
   void LaneLoop(size_t lane) {
@@ -379,12 +398,13 @@ class StreamDispatcher {
       ShardPayload<G> shard;
       {
         std::unique_lock<std::mutex> lock(mu_);
-        lane_cv_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-        if (queue_.empty()) {
-          break;  // closed and drained
+        lane_cv_.wait(lock, [&] { return closed_ || NextShardFor(lane) != queue_.end(); });
+        auto next = NextShardFor(lane);
+        if (next == queue_.end()) {
+          break;  // closed, and nothing left for this lane
         }
-        shard = std::move(queue_.front());
-        queue_.pop_front();
+        shard = std::move(*next);
+        queue_.erase(next);
         obs::GlobalGauge(obs::kShardQueueDepth)->Set(static_cast<int64_t>(queue_.size()));
       }
       ShardResult<G> result = executor_->ExecuteShard(lane, shard);
@@ -464,6 +484,7 @@ class StreamDispatcher {
   size_t next_base_ = 0;
   size_t next_shard_index_ = 0;
   bool started_ = false;
+  size_t lane_count_ = 0;  // lanes of the running stream
   std::optional<obs::TraceSpan> verify_span_;
   std::vector<std::thread> threads_;
 

@@ -9,6 +9,7 @@ namespace {
 
 TEST(ModPParamsTest, AllParameterSetsAreSafePrimes) {
   SecureRng rng("param-check");
+  EXPECT_TRUE(IsSafePrime(ModP64Params().p, 20, rng));
   EXPECT_TRUE(IsSafePrime(ModP256Params().p, 16, rng));
   EXPECT_TRUE(IsSafePrime(ModP512Params().p, 12, rng));
   EXPECT_TRUE(IsSafePrime(ModP1024Params().p, 8, rng));

@@ -6,6 +6,13 @@
 // results, and a server SIGKILLed mid-run.
 #include <gtest/gtest.h>
 #include <signal.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <cstdio>
+#include <fstream>
+#include <string>
+#include <vector>
 
 #include "src/core/verifier.h"
 #include "src/net/server_process.h"
@@ -417,6 +424,44 @@ TEST_F(RemoteFleetTest, MissingServerBinaryRecoversInProcess) {
     EXPECT_EQ(obs::GlobalCounter(obs::kFleetShardsRecovered)->value() - recovered_before,
               fleet.shards_total);
   }
+}
+
+TEST_F(RemoteFleetTest, PublicVerifierSpawnsItsFleetOnce) {
+  // A PublicVerifier builds its backend once: two validation calls under
+  // verify_workers = 3 must spawn 3 servers, not 3 per call. Spawns are
+  // counted through a wrapper that logs each exec of the real binary.
+  const std::string real_server = net::DefaultServerPath();
+  const std::string dir = ::testing::TempDir();
+  const std::string log = dir + "vdp-spawn-count-" + std::to_string(getpid()) + ".log";
+  const std::string wrapper = dir + "vdp-spawn-count-" + std::to_string(getpid()) + ".sh";
+  {
+    std::ofstream script(wrapper);
+    script << "#!/bin/sh\necho spawn >> '" << log << "'\nexec '" << real_server
+           << "' \"$@\"\n";
+  }
+  ASSERT_EQ(chmod(wrapper.c_str(), 0700), 0);
+  std::remove(log.c_str());
+
+  ProtocolConfig config = BaseConfig();
+  config.verify_workers = 3;
+  auto uploads = Corpus(config, ped_);
+  {
+    ScopedServerPath counted(wrapper.c_str());
+    PublicVerifier<G> verifier(config, ped_);
+    ExpectMatchesOracle(config, verifier.ValidateClientsReport(uploads), uploads);
+    std::vector<std::string> reasons;
+    EXPECT_EQ(verifier.ValidateClients(uploads, &reasons), Oracle(config, uploads).accepted);
+    EXPECT_EQ(reasons, Oracle(config, uploads).RenderedReasons());
+  }
+
+  std::ifstream spawned(log);
+  size_t spawns = 0;
+  for (std::string line; std::getline(spawned, line);) {
+    ++spawns;
+  }
+  EXPECT_EQ(spawns, 3u);
+  std::remove(log.c_str());
+  std::remove(wrapper.c_str());
 }
 
 TEST_F(RemoteFleetTest, ValidateRejectsBadRemoteConfigs) {

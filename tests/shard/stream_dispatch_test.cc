@@ -9,6 +9,8 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <map>
+#include <mutex>
 #include <thread>
 
 #include "src/shard/stream_dispatch.h"
@@ -28,7 +30,11 @@ class FakeExecutor final : public ShardExecutor<G> {
 
   size_t lanes() const override { return lanes_; }
 
-  ShardResult<G> ExecuteShard(size_t /*lane*/, const ShardPayload<G>& shard) override {
+  ShardResult<G> ExecuteShard(size_t lane, const ShardPayload<G>& shard) override {
+    {
+      std::lock_guard<std::mutex> lock(lane_mu_);
+      lane_of_shard_[shard.shard_index] = lane;
+    }
     const size_t running = concurrent_.fetch_add(1, std::memory_order_relaxed) + 1;
     size_t prev = max_concurrent_.load(std::memory_order_relaxed);
     while (running > prev &&
@@ -62,6 +68,10 @@ class FakeExecutor final : public ShardExecutor<G> {
   size_t shards_executed() const { return shards_executed_.load(); }
   size_t max_concurrent() const { return max_concurrent_.load(); }
   size_t lanes_closed() const { return lanes_closed_.load(); }
+  std::map<size_t, size_t> lane_of_shard() const {
+    std::lock_guard<std::mutex> lock(lane_mu_);
+    return lane_of_shard_;
+  }
 
  private:
   size_t lanes_;
@@ -71,6 +81,8 @@ class FakeExecutor final : public ShardExecutor<G> {
   std::atomic<size_t> max_concurrent_{0};
   std::atomic<size_t> shards_executed_{0};
   std::atomic<size_t> lanes_closed_{0};
+  mutable std::mutex lane_mu_;
+  std::map<size_t, size_t> lane_of_shard_;  // shard index -> lane that ran it
 };
 
 StreamDispatchOptions NoProducts(size_t capacity, size_t window) {
@@ -208,6 +220,32 @@ TEST(StreamDispatchTest, InProcessLanesCapPoolWorkersAtShardCount) {
   EXPECT_EQ(ClampShardCount(8, 3), 3u);
   EXPECT_EQ(ClampShardCount(0, 10), 1u);
   EXPECT_EQ(ClampShardCount(4, 0), 1u);
+}
+
+TEST(StreamDispatchTest, EachLaneRunsTheShardMatchingItsIndexFirst) {
+  // Instant shards: without the reservation, whichever lane thread starts
+  // first tends to drain the queue before the others wake. Shard i < lanes
+  // must still run on lane i, one-shot and streaming alike.
+  ProtocolConfig config;
+  for (int round = 0; round < 20; ++round) {
+    FakeExecutor one_shot(4);
+    std::vector<ClientUploadMsg<G>> uploads(40);
+    DispatchAllShards<G>(config, &one_shot, uploads, /*num_shards=*/8,
+                         /*compute_products=*/false);
+    FakeExecutor streamed(4);
+    StreamDispatcher<G> dispatcher(config, &streamed, NoProducts(2, 8));
+    for (size_t i = 0; i < 16; ++i) {
+      dispatcher.Add(ClientUploadMsg<G>{});
+    }
+    ExpectFakeVerdict(dispatcher.Finish(), 16);
+    for (const FakeExecutor* executor : {&one_shot, &streamed}) {
+      const std::map<size_t, size_t> lanes = executor->lane_of_shard();
+      ASSERT_EQ(lanes.size(), 8u);
+      for (size_t shard = 0; shard < 4; ++shard) {
+        EXPECT_EQ(lanes.at(shard), shard) << "round " << round;
+      }
+    }
+  }
 }
 
 TEST(StreamDispatchTest, OneShotPartitionUsesHistoricalBoundaries) {
