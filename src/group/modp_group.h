@@ -102,11 +102,13 @@ class ModPGroup {
     return e;
   }
 
-  // Decode with the definitional InSubgroupByExponent check: the oracle the
-  // Legendre-symbol Decode is differentially tested against.
+  // Decode with the definitional membership test e^q == 1, one full
+  // exponentiation: the oracle the Legendre-symbol Decode is differentially
+  // tested against.
   static std::optional<Element> DecodeByExponent(BytesView bytes) {
     std::optional<Element> e = DecodeInRange(bytes);
-    if (!e.has_value() || !InSubgroupByExponent(*e)) {
+    if (!e.has_value() ||
+        PCtx().template ExpMod<L>(e->v_, Params().q) != BigInt<L>::One()) {
       return std::nullopt;
     }
     return e;
@@ -119,12 +121,6 @@ class ModPGroup {
   // ModPParamsTest.AllParameterSetsAreSafePrimes). Variable time, which is
   // fine: Decode calls it on public wire bytes.
   static bool InSubgroup(const Element& e) { return Jacobi(e.v_, Params().p) == 1; }
-
-  // The definitional test e^q == 1, one full exponentiation. Kept as the
-  // oracle InSubgroup is differentially tested against.
-  static bool InSubgroupByExponent(const Element& e) {
-    return PCtx().template ExpMod<L>(e.v_, Params().q) == BigInt<L>::One();
-  }
 
   // Derives an element of the subgroup from a domain-separated hash by
   // squaring a pseudorandom field element (every square is a QR; the QR group
